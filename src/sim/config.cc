@@ -47,6 +47,56 @@ void CacheConfig::Validate(const char* what) const {
   }
 }
 
+void DeviceConfig::Validate(const char* what) const {
+  if (kind != DeviceKind::kPmem) {
+    return;
+  }
+  if (internal_block_size == 0 || internal_block_size > kMaxPmemBlockBytes) {
+    Invalid(what, "internal_block_size must be in [1, " +
+                      std::to_string(kMaxPmemBlockBytes) +
+                      "] (the written-line mask holds 8 lines), got " +
+                      std::to_string(internal_block_size));
+  }
+  if (interleave_bytes == 0) {
+    Invalid(what, "interleave_bytes must be nonzero");
+  }
+  if (internal_buffer_blocks == 0 ||
+      internal_buffer_blocks > kMaxPmemBufferBlocks) {
+    Invalid(what, "internal_buffer_blocks must be in [1, " +
+                      std::to_string(kMaxPmemBufferBlocks) + "], got " +
+                      std::to_string(internal_buffer_blocks));
+  }
+}
+
+void MachineConfig::Validate() const {
+  if (num_cores == 0 || num_cores > 64) {
+    Invalid("machine", "num_cores must be in [1, 64] (L1 sharer sets are "
+                       "64-bit masks), got " +
+                           std::to_string(num_cores));
+  }
+  l1.Validate("l1");
+  llc.Validate("llc");
+  if (l1.line_size != line_size || llc.line_size != line_size) {
+    Invalid("machine", "l1 and llc line sizes (" +
+                           std::to_string(l1.line_size) + ", " +
+                           std::to_string(llc.line_size) +
+                           ") must equal the machine line_size " +
+                           std::to_string(line_size));
+  }
+  dram.Validate("dram");
+  target.Validate("target");
+  constexpr uint64_t kDramSpan = kTargetBase - kDramBase;
+  if (dram_region_bytes == 0 || dram_region_bytes > kDramSpan) {
+    Invalid("machine", "dram_region_bytes must be in [1, " +
+                           std::to_string(kDramSpan) +
+                           "] (larger would reach kTargetBase), got " +
+                           std::to_string(dram_region_bytes));
+  }
+  if (target_region_bytes == 0) {
+    Invalid("machine", "target_region_bytes must be nonzero");
+  }
+}
+
 MachineConfig MachineA(uint32_t num_cores) {
   MachineConfig m;
   m.name = "machine-A";

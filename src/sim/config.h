@@ -72,6 +72,12 @@ struct CacheConfig {
   void Validate(const char* what) const;
 };
 
+// The simulated address map: the DRAM region starts at kDramBase and the
+// target region at kTargetBase. Machine::HostPtr and Machine::DeviceFor
+// route an address by comparing it with kTargetBase.
+inline constexpr uint64_t kDramBase = 0x10000;
+inline constexpr uint64_t kTargetBase = 1ULL << 32;
+
 enum class DeviceKind : uint8_t {
   kDram,
   kPmem,       // Optane-like: internal write granularity > CPU line size
@@ -117,7 +123,22 @@ struct DeviceConfig {
   // flag (sim_throughput_cli --device-path=reference), giving a fully
   // interpreted A/B baseline.
   bool reference_impl = false;
+
+  // Throws std::invalid_argument (message prefixed with `what`) for a PMEM
+  // geometry the device model cannot honour: internal_block_size must be
+  // in [1, kMaxPmemBlockBytes] (the per-block written-line mask holds one
+  // bit per 64B line), interleave_bytes nonzero, and internal_buffer_blocks
+  // in [1, kMaxPmemBufferBlocks]. Other device kinds have no such fields.
+  void Validate(const char* what) const;
 };
+
+// Largest PMEM internal block: PmemDevice tracks which 64B lines of a
+// buffered block were written in an 8-bit mask.
+inline constexpr uint32_t kMaxPmemBlockBytes = 8 * 64;
+// Largest PMEM write-combining buffer per DIMM. The slot index has no
+// narrower limit; this one bounds the host memory a config can ask for
+// (and the O(capacity) victim scan) at a size far past any real XPBuffer.
+inline constexpr uint32_t kMaxPmemBufferBlocks = 1u << 16;
 
 // How the core drains its store buffer (private write buffers, §4.2).
 enum class StoreDrainPolicy : uint8_t {
@@ -151,6 +172,15 @@ struct MachineConfig {
   // Capacities of the two address regions (backing host buffers).
   uint64_t dram_region_bytes = 64ULL << 20;
   uint64_t target_region_bytes = 512ULL << 20;
+
+  // Throws std::invalid_argument for a machine the simulator cannot build
+  // faithfully: num_cores in [1, 64] (L1 sharer sets are 64-bit masks), both
+  // caches valid (CacheConfig::Validate) with the machine's line size, both
+  // devices valid (DeviceConfig::Validate), both regions nonempty, and the
+  // DRAM region no larger than kTargetBase - kDramBase, so that no DRAM
+  // address reaches the target region's base. The Machine constructor calls
+  // this in every build type.
+  void Validate() const;
 };
 
 // Machine A (§3): 2-socket Xeon Gold 6230 + Optane NV-DIMMs. The CPU caches

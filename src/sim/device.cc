@@ -54,11 +54,11 @@ void DramDevice::WriteTrain(const uint64_t* addrs, size_t n, uint32_t bytes,
 
 // ---- PmemDevice: open-addressed XPBuffer index ----
 
-uint8_t* PmemDevice::IndexFind(Dimm& d, uint64_t block) {
+uint32_t* PmemDevice::IndexFind(Dimm& d, uint64_t block) {
   const uint32_t mask = IndexMask(d);
   uint32_t pos = BlockHash(block) & mask;
   while (true) {
-    const uint8_t s = d.index[pos];
+    const uint32_t s = d.index[pos];
     if (s == kIndexEmpty) {
       return nullptr;
     }
@@ -69,7 +69,7 @@ uint8_t* PmemDevice::IndexFind(Dimm& d, uint64_t block) {
   }
 }
 
-void PmemDevice::IndexInsert(Dimm& d, uint64_t block, uint8_t slot) {
+void PmemDevice::IndexInsert(Dimm& d, uint64_t block, uint32_t slot) {
   const uint32_t mask = IndexMask(d);
   uint32_t pos = BlockHash(block) & mask;
   while (d.index[pos] != kIndexEmpty) {
@@ -129,8 +129,8 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
       }
       return 0;  // coalesced: served from the buffer, no media work
     }
-    if (uint8_t* ip = IndexFind(dimm, block)) {
-      const uint8_t s = *ip;
+    if (uint32_t* ip = IndexFind(dimm, block)) {
+      const uint32_t s = *ip;
       BufferedBlock& hit = slots[s];
       hit.stamp = ++dimm.stamp_counter;
       hit.dirty = hit.dirty || dirty;
@@ -187,8 +187,8 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
         BufferedBlock{block, ++dimm.stamp_counter, /*valid=*/true, dirty,
                       dirty ? line_bit : static_cast<uint8_t>(0)};
     ++dimm.valid_count;
-    IndexInsert(dimm, block, static_cast<uint8_t>(free_slot));
-    dimm.last_hit = static_cast<uint8_t>(free_slot);
+    IndexInsert(dimm, block, free_slot);
+    dimm.last_hit = free_slot;
     if (!dirty) {
       // A read miss must fetch the block to serve the data (the
       // read-amplification side; media reads are cheaper than writes).

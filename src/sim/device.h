@@ -320,15 +320,13 @@ class PmemDevice : public Device {
  public:
   explicit PmemDevice(const DeviceConfig& config)
       : Device(config), dimms_(std::max(1u, config.interleave_dimms)) {
+    // Always on (one-time, cheap): a zero-slot buffer or an oversized
+    // block would break TouchBlock's eviction loop and written-line mask.
+    config.Validate(config.name.c_str());
     // The index is sized for the configured capacity; buffer-pressure
     // faults only ever SHRINK the usable slot count, so the table never
     // needs to grow mid-run.
-    const uint32_t cap = std::max(1u, config.internal_buffer_blocks);
-    // The open-addressed index stores slot ids as uint8_t with 0xff
-    // reserved for "empty"; a capacity at or past that sentinel would
-    // silently alias slots.
-    PRESTORE_INVARIANT(cap < kIndexEmpty,
-                       "internal_buffer_blocks must stay below 255");
+    const uint32_t cap = config.internal_buffer_blocks;
     uint32_t bits = 2;
     while ((1u << bits) < 4 * cap) {
       ++bits;
@@ -410,7 +408,7 @@ class PmemDevice : public Device {
   }
 
  private:
-  static constexpr uint8_t kIndexEmpty = 0xff;
+  static constexpr uint32_t kIndexEmpty = UINT32_MAX;
 
   struct BufferedBlock {
     uint64_t block = 0;
@@ -440,10 +438,10 @@ class PmemDevice : public Device {
     BandwidthMeter media;
     std::mutex mu;
     std::vector<BufferedBlock> slots;
-    std::vector<uint8_t> index;  // hash(block) -> slot, kIndexEmpty = free
+    std::vector<uint32_t> index;  // hash(block) -> slot, kIndexEmpty = free
     uint64_t stamp_counter = 0;
-    uint8_t last_hit = 0;  // hint: slot of the most recent block hit
-    uint8_t valid_count = 0;
+    uint32_t last_hit = 0;  // hint: slot of the most recent block hit
+    uint32_t valid_count = 0;
   };
 
   uint32_t IndexMask(const Dimm& d) const {
@@ -455,8 +453,8 @@ class PmemDevice : public Device {
 
   // Open-addressed helpers (linear probing, backward-shift deletion). The
   // table is tiny (4x slot capacity), so clusters stay short.
-  uint8_t* IndexFind(Dimm& d, uint64_t block);
-  void IndexInsert(Dimm& d, uint64_t block, uint8_t slot);
+  uint32_t* IndexFind(Dimm& d, uint64_t block);
+  void IndexInsert(Dimm& d, uint64_t block, uint32_t slot);
   void IndexErase(Dimm& d, uint64_t block);
 
   void RecordObservedFloor(uint64_t floor) {

@@ -1,23 +1,26 @@
 #include "src/sim/machine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/util/hugepage.h"
-
 namespace prestore {
 
+namespace {
+
+const MachineConfig& Validated(const MachineConfig& config) {
+  config.Validate();
+  return config;
+}
+
+}  // namespace
+
 Machine::Machine(const MachineConfig& config)
-    : config_(config),
+    : config_(Validated(config)),
       dram_(MakeDevice(config.dram)),
-      target_(MakeDevice(config.target)) {
-  config_.l1.Validate("l1");
-  config_.llc.Validate("llc");
-  assert(config_.l1.line_size == config_.line_size &&
-         config_.llc.line_size == config_.line_size &&
-         "cache line sizes must match the machine line size");
+      target_(MakeDevice(config.target)),
+      dram_backing_(config.dram_region_bytes),
+      target_backing_(config.target_region_bytes) {
   // The LLC is kNumShards independent sub-caches; global set g lives in
   // shard g % kNumShards. The per-shard SetAssocCache draws its sets'
   // replacement RNG from the shared global-set-order stream, so the sharded
@@ -35,15 +38,6 @@ Machine::Machine(const MachineConfig& config)
   for (uint32_t ls = config_.llc.line_size; ls > 1; ls >>= 1) {
     ++llc_line_shift_;
   }
-  // Advise huge pages before the zero-fill touches the backing stores:
-  // replay traces stride randomly through both regions, and on 4 KiB
-  // pages nearly every host data access would pay a page walk.
-  dram_backing_.reserve(config_.dram_region_bytes);
-  AdviseHugePages(dram_backing_.data(), dram_backing_.capacity());
-  dram_backing_.resize(config_.dram_region_bytes);
-  target_backing_.reserve(config_.target_region_bytes);
-  AdviseHugePages(target_backing_.data(), target_backing_.capacity());
-  target_backing_.resize(config_.target_region_bytes);
   hstripes_ = std::make_unique<MachineStatStripe[]>(config_.num_cores);
   cores_.reserve(config_.num_cores);
   for (uint32_t i = 0; i < config_.num_cores; ++i) {

@@ -17,6 +17,7 @@
 #include "src/sim/hooks.h"
 #include "src/sim/optlock.h"
 #include "src/trace/trace.h"
+#include "src/util/hugepage.h"
 
 namespace prestore {
 
@@ -27,9 +28,6 @@ enum class Region : uint8_t {
   kDram,
   kTarget,
 };
-
-inline constexpr SimAddr kDramBase = 0x10000;
-inline constexpr SimAddr kTargetBase = 1ULL << 32;
 
 // Aggregated shared-hierarchy event counters, as returned by
 // Machine::hierarchy_stats(): the on-demand sum of the per-core stripes.
@@ -606,8 +604,10 @@ class Machine {
 
   std::vector<std::unique_ptr<Core>> cores_;
 
-  std::vector<uint8_t> dram_backing_;
-  std::vector<uint8_t> target_backing_;
+  // Demand-zero host memory behind the two regions: construction is O(1)
+  // and resident memory grows only with the bytes the simulation touches.
+  DemandZeroArena dram_backing_;
+  DemandZeroArena target_backing_;
   std::atomic<uint64_t> dram_brk_{0};
   std::atomic<uint64_t> target_brk_{0};
 

@@ -28,6 +28,7 @@ class ReferencePmemDevice : public Device {
  public:
   explicit ReferencePmemDevice(const DeviceConfig& config)
       : Device(config), dimms_(std::max(1u, config.interleave_dimms)) {
+    config.Validate(config.name.c_str());
     for (Dimm& d : dimms_) {
       d.slots.reserve(config.internal_buffer_blocks);
     }

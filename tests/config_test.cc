@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "src/sim/config.h"
+#include "src/sim/machine.h"
 
 namespace prestore {
 namespace {
@@ -140,6 +142,116 @@ TEST(CacheConfigValidate, SetBlockGeometryMatchesLayoutRules) {
   for (uint32_t ways : {1u, 4u, 8u, 16u, 64u}) {
     EXPECT_EQ(SetBlockHeaderBytes(ways) % kSetBlockAlign, 0u) << ways;
     EXPECT_EQ(SetBlockBytes(ways) % kSetBlockAlign, 0u) << ways;
+  }
+}
+
+// MachineConfig::Validate / DeviceConfig::Validate: configurations the
+// simulator cannot build faithfully are refused when the Machine is built,
+// in every build type, instead of aliasing addresses or overflowing masks.
+
+// Expects `fn` to throw std::invalid_argument whose message names `needle`.
+template <typename Fn>
+void ExpectInvalid(Fn fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument mentioning " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MachineConfigValidate, AcceptsEveryPresetAndTheAblationBuffers) {
+  for (const MachineConfig& m : {MachineA(), MachineBFast(), MachineBSlow(),
+                                 MachineACxlSsd(), MachineA(1),
+                                 MachineA(64)}) {
+    EXPECT_NO_THROW(m.Validate()) << m.name;
+  }
+  // bench_ablation_pmem_buffer sweeps these buffer sizes.
+  for (const uint32_t blocks : {4u, 16u, 64u, 256u, 1024u}) {
+    MachineConfig m = MachineA(2);
+    m.target.internal_buffer_blocks = blocks;
+    EXPECT_NO_THROW(m.Validate()) << blocks;
+  }
+}
+
+TEST(MachineConfigValidate, DramRegionMustNotReachTargetBase) {
+  MachineConfig m = MachineA(1);
+  m.dram_region_bytes = kTargetBase - kDramBase;  // last byte below target
+  EXPECT_NO_THROW(m.Validate());
+  m.dram_region_bytes += 1;
+  ExpectInvalid([&] { m.Validate(); }, "dram_region_bytes");
+  // The Machine constructor refuses it before mapping anything.
+  ExpectInvalid([&] { Machine machine(m); }, "dram_region_bytes");
+}
+
+TEST(MachineConfigValidate, RejectsEmptyRegions) {
+  MachineConfig m = MachineA(1);
+  m.dram_region_bytes = 0;
+  ExpectInvalid([&] { m.Validate(); }, "dram_region_bytes");
+  m = MachineA(1);
+  m.target_region_bytes = 0;
+  ExpectInvalid([&] { m.Validate(); }, "target_region_bytes");
+  ExpectInvalid([&] { Machine machine(m); }, "target_region_bytes");
+}
+
+TEST(MachineConfigValidate, RejectsCoreCountsOutsideSharerMask) {
+  ExpectInvalid([] { MachineA(0).Validate(); }, "num_cores");
+  ExpectInvalid([] { MachineA(65).Validate(); }, "num_cores");
+}
+
+TEST(MachineConfigValidate, RejectsMismatchedLineSizes) {
+  MachineConfig m = MachineA(1);
+  m.l1.line_size = 128;
+  m.l1.size_bytes = 32 << 10;
+  ExpectInvalid([&] { m.Validate(); }, "line_size");
+  ExpectInvalid([&] { Machine machine(m); }, "line_size");
+}
+
+TEST(MachineConfigValidate, CacheErrorsPropagate) {
+  MachineConfig m = MachineA(1);
+  m.llc.ways = 0;
+  ExpectInvalid([&] { m.Validate(); }, "llc");
+}
+
+TEST(DeviceConfigValidate, RejectsPmemBufferOutsideLimits) {
+  DeviceConfig d = MachineA().target;
+  d.internal_buffer_blocks = kMaxPmemBufferBlocks;
+  EXPECT_NO_THROW(d.Validate("target"));
+  d.internal_buffer_blocks = kMaxPmemBufferBlocks + 1;
+  ExpectInvalid([&] { d.Validate("target"); }, "internal_buffer_blocks");
+  d.internal_buffer_blocks = 0;
+  ExpectInvalid([&] { d.Validate("target"); }, "internal_buffer_blocks");
+  // Machine validation covers the target device too.
+  MachineConfig m = MachineA(1);
+  m.target.internal_buffer_blocks = 0;
+  ExpectInvalid([&] { m.Validate(); }, "target: internal_buffer_blocks");
+}
+
+TEST(DeviceConfigValidate, RejectsPmemBlockBeyondWrittenMask) {
+  DeviceConfig d = MachineACxlSsd().target;
+  EXPECT_EQ(d.internal_block_size, kMaxPmemBlockBytes);
+  EXPECT_NO_THROW(d.Validate("target"));
+  d.internal_block_size = 1024;
+  ExpectInvalid([&] { d.Validate("target"); }, "internal_block_size");
+  d.internal_block_size = 0;
+  ExpectInvalid([&] { d.Validate("target"); }, "internal_block_size");
+}
+
+TEST(DeviceConfigValidate, RejectsZeroInterleave) {
+  DeviceConfig d = MachineA().target;
+  d.interleave_bytes = 0;
+  ExpectInvalid([&] { d.Validate("target"); }, "interleave_bytes");
+  ExpectInvalid([&] { PmemDevice device(d); }, "interleave_bytes");
+}
+
+TEST(DeviceConfigValidate, IgnoresPmemFieldsOnOtherKinds) {
+  // DRAM and far memory have no write-combining buffer; the PMEM-only
+  // fields are not read, so they are not checked either.
+  for (DeviceConfig d : {MachineA().dram, MachineBFast().target}) {
+    d.internal_buffer_blocks = 0;
+    d.internal_block_size = 0;
+    EXPECT_NO_THROW(d.Validate("device")) << d.name;
   }
 }
 

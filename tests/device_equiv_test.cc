@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "src/sim/config.h"
 #include "src/sim/machine.h"
 #include "src/sim/replay.h"
+#include "src/util/rng.h"
 
 namespace prestore {
 namespace {
@@ -40,9 +42,10 @@ ReplayTraceConfig MissyTrace(uint32_t workers) {
 enum class Mode { kSequential, kSliced };
 
 uint64_t RunDigest(ReplacementPolicy policy, bool reference, Mode mode,
-                   uint32_t workers) {
+                   uint32_t workers, uint32_t pmem_buffer_blocks = 8) {
   MachineConfig mc = MachineA(workers);
   mc.llc.policy = policy;
+  mc.target.internal_buffer_blocks = pmem_buffer_blocks;
   if (reference) {
     mc.dram.reference_impl = true;
     mc.target.reference_impl = true;
@@ -128,6 +131,56 @@ TEST(DeviceEquiv, FastForwardAloneMatchesSlowPath) {
     ReplaySequential(slow_machine, slow_trace);
     EXPECT_EQ(ff_digest, DigestMachine(slow_machine, 2))
         << "policy " << PolicyName(policy);
+  }
+}
+
+// XPBuffers of 256 and 1024 blocks per DIMM: past the 255 slot ids an
+// 8-bit index could name (the ablation bench sweeps both sizes).
+constexpr uint32_t kLargeBuffers[] = {256, 1024};
+
+TEST(DeviceEquiv, FastMatchesReferenceLargePmemBuffer) {
+  for (const uint32_t blocks : kLargeBuffers) {
+    const uint64_t fast = RunDigest(ReplacementPolicy::kQuadAge,
+                                    /*reference=*/false, Mode::kSequential,
+                                    2, blocks);
+    const uint64_t ref = RunDigest(ReplacementPolicy::kQuadAge,
+                                   /*reference=*/true, Mode::kSequential, 2,
+                                   blocks);
+    EXPECT_EQ(fast, ref) << blocks << " buffer blocks";
+  }
+}
+
+TEST(DeviceEquiv, LargePmemBufferOpForOp) {
+  // Device-level cross-check: a random read/write stream over four times
+  // the buffered blocks, so every slot fills, evicts and refills. Each op's
+  // completion time and the final media accounting must match.
+  for (const uint32_t blocks : kLargeBuffers) {
+    DeviceConfig c = MachineA(1).target;
+    c.internal_buffer_blocks = blocks;
+    DeviceConfig ref_cfg = c;
+    ref_cfg.reference_impl = true;
+    PmemDevice fast(c);
+    const std::unique_ptr<Device> ref = MakeDevice(ref_cfg);
+    const uint64_t span =
+        4ULL * blocks * c.interleave_dimms * c.internal_block_size;
+    Xoshiro256 rng(blocks);
+    uint64_t now = 0;
+    for (int i = 0; i < 200000; ++i) {
+      const uint64_t addr = rng.Below(span) & ~63ULL;
+      const bool write = rng.Below(10) < 6;
+      now += rng.Below(40);
+      const uint64_t tf = write ? fast.Write(addr, 64, now)
+                                : fast.Read(addr, 64, now);
+      const uint64_t tr = write ? ref->Write(addr, 64, now)
+                                : ref->Read(addr, 64, now);
+      ASSERT_EQ(tf, tr) << blocks << " blocks, op " << i;
+    }
+    fast.Drain();
+    ref->Drain();
+    EXPECT_EQ(fast.Stats().media_bytes_written,
+              ref->Stats().media_bytes_written)
+        << blocks << " blocks";
+    EXPECT_GT(fast.Stats().WriteAmplification(), 1.0) << blocks << " blocks";
   }
 }
 

@@ -114,6 +114,12 @@ if [[ "${df}" != "${dr}" ]]; then
   exit 1
 fi
 
+# PMEM write-combining buffer ablation: sweeps 4..1024 buffer blocks per
+# DIMM (past any 8-bit slot index) and exits non-zero unless baseline
+# write amplification falls from the smallest to the largest buffer.
+echo "==> PMEM buffer ablation (bench_ablation_pmem_buffer)"
+./build/bench/bench_ablation_pmem_buffer >/dev/null
+
 # Monitored-governor smoke: misuse recovery on an unprofiled workload,
 # sub-percent monitoring overhead, and the monitor-attached determinism
 # digest across host thread counts. The bench exits non-zero on any gate.
