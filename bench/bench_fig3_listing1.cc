@@ -70,8 +70,10 @@ int main(int argc, char** argv) {
     }
   }
   t.Print(std::cout);
+  const bool gov_ok = worst_gov_overhead <= 3.0;
   std::cout << "\nWorst governed-vs-clean overhead: " << worst_gov_overhead
             << "% (must stay within 3%: the governor leaves beneficial "
-               "cleans alone).\n";
-  return 0;
+               "cleans alone) -- "
+            << (gov_ok ? "PASS" : "FAIL") << "\n";
+  return gov_ok ? 0 : 1;
 }

@@ -1,16 +1,10 @@
-// Sim-throughput benchmark tier (ISSUE 5, ISSUE 7 / DESIGN.md §10, §12):
-// how fast does the ENGINE run on the host? Every other bench in this
-// directory reports simulated cycles; this one reports host-side
-// simulated-accesses/sec while replaying a fixed multi-core YCSB-like
-// trace at 1/2/4/8 worker cores, in two modes:
-//  - free: free-running concurrent replay (one host thread per worker) —
-//    fast while host cores are plentiful, falls off a cliff once workers
-//    oversubscribe them, nondeterministic interleaving;
-//  - sliced: the deterministic time-sliced scheduler (src/sim/scheduler.h)
-//    — simulated concurrency decoupled from host thread count, one
-//    bit-identical digest for any M, no oversubscription cliff.
-// `--mode={free,sliced,both}` selects the sweep (default both), so the
-// cliff fix is visible in one BENCH_sim_throughput.json.
+// Sim-throughput benchmark tier (DESIGN.md §10, §12): how fast does the
+// ENGINE run on the host? Every other bench in this directory reports
+// simulated cycles; this one reports host-side simulated-accesses/sec while
+// replaying a fixed multi-core YCSB-like trace at 1/2/4/8 worker cores
+// under the deterministic time-sliced scheduler (src/sim/scheduler.h):
+// simulated concurrency decoupled from host thread count, one bit-identical
+// digest for any host thread count.
 //
 // Before measuring, two self-checks must pass or the binary exits non-zero
 // (CI's perf-smoke job fails):
@@ -126,14 +120,8 @@ int main(int argc, char** argv) {
   // Runs per sweep point; the reported accesses_per_sec is the median.
   const uint32_t repeat =
       static_cast<uint32_t>(std::max<int64_t>(1, flags.GetInt("repeat", 1)));
-  const std::string mode_flag = flags.GetString("mode", "both");
   const std::string out_path =
       flags.GetString("out", "BENCH_sim_throughput.json");
-  if (mode_flag != "free" && mode_flag != "sliced" && mode_flag != "both") {
-    std::fprintf(stderr, "--mode must be free, sliced, or both (got %s)\n",
-                 mode_flag.c_str());
-    return 1;
-  }
   if (quantum == 0) {
     std::fprintf(stderr, "--quantum must be > 0 simulated cycles\n");
     return 1;
@@ -166,14 +154,6 @@ int main(int argc, char** argv) {
   std::printf("sliced invariance ok (8 cores, M=1 vs M=3: %016llx)\n\n",
               static_cast<unsigned long long>(sliced_m1));
 
-  std::vector<const char*> modes;
-  if (mode_flag == "free" || mode_flag == "both") {
-    modes.push_back("free");
-  }
-  if (mode_flag == "sliced" || mode_flag == "both") {
-    modes.push_back("sliced");
-  }
-
   std::vector<SweepPoint> sweep;
   std::printf("%10s %8s %7s %14s %10s %14s %8s %10s %8s\n", "trace",
               "workers", "mode", "accesses", "host_sec", "accesses/sec",
@@ -181,7 +161,8 @@ int main(int argc, char** argv) {
   const int profiles = miss_mix >= 0.0 ? 2 : 1;
   for (int profile = 0; profile < profiles; ++profile) {
     const bool missy = profile == 1;
-    for (const char* mode : modes) {
+    {
+      const char* mode = "sliced";
       double base_per_worker = 0.0;
       for (uint32_t workers : {1u, 2u, 4u, 8u}) {
         if (workers > max_workers) {
@@ -202,14 +183,10 @@ int main(int argc, char** argv) {
           const ReplayTrace trace = GenerateReplayTrace(
               machine,
               MeasuredTrace(workers, quick, seed, missy ? miss_mix : -1.0));
-          if (std::string(mode) == "sliced") {
-            ReplaySlicedOptions options;
-            options.host_threads = hw == 0 ? 1 : std::min(hw, workers);
-            options.quantum = quantum;
-            point.result = ReplaySliced(machine, trace, options);
-          } else {
-            point.result = ReplayConcurrent(machine, trace);
-          }
+          ReplaySlicedOptions options;
+          options.host_threads = hw == 0 ? 1 : std::min(hw, workers);
+          options.quantum = quantum;
+          point.result = ReplaySliced(machine, trace, options);
           apsec.Add(point.result.accesses_per_sec);
         }
         point.result.accesses_per_sec = apsec.Median();
@@ -222,7 +199,7 @@ int main(int argc, char** argv) {
         }
         point.per_worker_efficiency =
             base_per_worker > 0.0 ? per_worker / base_per_worker : 0.0;
-        const HierarchyCounts& h = point.result.hierarchy;
+        const MachineStats& h = point.result.hierarchy;
         const uint64_t llc_refs = h.llc_hits + h.llc_misses;
         std::printf("%10s %8u %7s %14llu %10.3f %14.0f %8.2f %10.1f %8s\n",
                     point.trace, workers, mode,
@@ -274,7 +251,7 @@ int main(int argc, char** argv) {
                sliced_m1 == sliced_m3 ? "true" : "false");
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
-    const HierarchyCounts& h = p.result.hierarchy;
+    const MachineStats& h = p.result.hierarchy;
     std::fprintf(
         out,
         "    {\"trace\": \"%s\", \"miss_mix\": %.2f,"

@@ -76,7 +76,7 @@ void ClhtMap::Put(Core& core, uint64_t key, SimAddr value) {
   } else {
     const SimAddr fresh =
         machine_.Alloc(kBucketBytes, Region::kTarget, kBucketBytes);
-    overflow_buckets_.fetch_add(1, std::memory_order_relaxed);
+    ++overflow_buckets_;
     core.StoreU64(fresh + kKeyOff, key);
     core.StoreU64(fresh + kValOff, value);
     core.Fence();

@@ -1,6 +1,5 @@
 #include "src/msg/x9.h"
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -38,7 +37,7 @@ X9Inbox::X9Inbox(Machine& machine, uint32_t slots, uint32_t msg_size,
 }
 
 bool X9Inbox::TryWrite(Core& core, const void* payload, MsgPrestore mode) {
-  if (closed_.load(std::memory_order_acquire)) {
+  if (closed_) {
     return false;  // owner refused admission: retry-after, like "full"
   }
   const uint64_t ls = machine_.config().line_size;
@@ -97,14 +96,11 @@ bool X9Inbox::TryRead(Core& core, void* out) {
 
 namespace {
 
-// Reads the functional (host) backing directly: cursor and sequence words
-// are only ever written with std::atomic_ref release stores (Core's atomic
-// ops), so these acquire loads pair with them and observe values at most
-// one probe stale.
+// Reads the functional (host) backing directly, without charging cycles.
 uint64_t HostLoadU64(Machine& machine, SimAddr addr) {
-  return std::atomic_ref<uint64_t>(
-             *reinterpret_cast<uint64_t*>(machine.HostPtr(addr)))
-      .load(std::memory_order_acquire);
+  uint64_t v;
+  std::memcpy(&v, machine.HostPtr(addr), 8);
+  return v;
 }
 
 }  // namespace
@@ -115,19 +111,19 @@ bool X9Inbox::Peek() {
 }
 
 bool X9Inbox::CanWrite() {
-  if (closed_.load(std::memory_order_acquire)) {
+  if (closed_) {
     return false;
   }
   const uint64_t tail = HostLoadU64(machine_, tail_addr_);
   return HostLoadU64(machine_, SlotAddr(tail)) == tail;
 }
 
-void X9Inbox::Close() { closed_.store(true, std::memory_order_release); }
+void X9Inbox::Close() { closed_ = true; }
 
-void X9Inbox::Reopen() { closed_.store(false, std::memory_order_release); }
+void X9Inbox::Reopen() { closed_ = false; }
 
 bool X9Inbox::closed() const {
-  return closed_.load(std::memory_order_acquire);
+  return closed_;
 }
 
 bool X9Inbox::Quiesced() {

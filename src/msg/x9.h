@@ -9,8 +9,6 @@
 #ifndef SRC_MSG_X9_H_
 #define SRC_MSG_X9_H_
 
-#include <atomic>
-
 #include "src/sim/core.h"
 #include "src/sim/machine.h"
 
@@ -50,12 +48,11 @@ class X9Inbox {
 
   // Host-side consumer probe: true when a published message is waiting.
   // Charges NO simulated cycles and touches NO simulated cache state — idle
-  // pollers use it to spin in host time without inflating their core clock
-  // (a failed TryRead costs real polling cycles, and an idle server that
-  // paid them once per host-scheduler iteration would carry a clock that
-  // measures the host, not the simulation). Single consumer, like TryRead:
-  // a true result is stable (only the caller consumes); a false result may
-  // be stale for one probe.
+  // pollers use it to wait for their peers (WaitForPeers) without inflating
+  // their core clock (a failed TryRead costs real polling cycles, and an
+  // idle server that paid them once per wait would carry a clock that
+  // measures the wait schedule, not the service). Single consumer, like
+  // TryRead: a true result is stable (only the caller consumes).
   bool Peek();
 
   // Host-side producer probe: true when the next ring index looks free, so
@@ -98,7 +95,7 @@ class X9Inbox {
   Machine& machine_;
   // Host-side flag, not simulated state: models the node-local admission
   // gate a dead/draining owner flips, without charging anyone cycles.
-  std::atomic<bool> closed_{false};
+  bool closed_ = false;
   uint32_t num_slots_;
   uint32_t msg_size_;
   uint64_t slot_bytes_;

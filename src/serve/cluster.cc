@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "src/kv/kvstore.h"
 #include "src/robust/governor.h"
+#include "src/sim/baton.h"
 #include "src/sim/harness.h"
 
 namespace prestore {
@@ -75,8 +75,7 @@ uint32_t ShardRouter::Primary(uint64_t key) const {
 
 // One replication channel: an inbox on the RECEIVER's machine, written
 // through a dedicated ingress core of that machine. The ingress core is
-// owned by the sender's (node, shard) worker host thread — one host thread
-// per simulated core, as everywhere else in the simulator.
+// driven only by the sender's (node, shard) worker body.
 struct KvCluster::ReplChannel {
   std::unique_ptr<X9Inbox> inbox;
   uint32_t ingress_core = 0;
@@ -95,7 +94,7 @@ struct KvCluster::NodeShard {
   };
   std::vector<HintQueue> hints;  // indexed by peer node id
 
-  // Single-writer counters (the shard's worker host thread).
+  // Counters written only by the shard's worker body.
   uint64_t served = 0;
   uint64_t nacks = 0;
   uint64_t batches = 0;
@@ -251,8 +250,8 @@ void KvCluster::Preload() {
 
 void KvCluster::BeginRun(uint64_t origin) {
   origin_ = origin;
-  drivers_done_.store(false, std::memory_order_release);
-  workers_send_done_.store(0, std::memory_order_release);
+  drivers_done_ = false;
+  workers_send_done_ = 0;
   applied_built_ = false;
   applied_sets_.clear();
   for (auto& node : nodes_) {
@@ -277,17 +276,14 @@ void KvCluster::BeginRun(uint64_t origin) {
   }
 }
 
-void KvCluster::DriversDone() {
-  drivers_done_.store(true, std::memory_order_release);
-}
+void KvCluster::DriversDone() { drivers_done_ = true; }
 
 // ---------------------------------------------------------- client side
 
 SubmitStatus KvCluster::TrySubmit(uint32_t driver, uint32_t node,
                                   const RequestMsg& req) {
   // The attempt was DECIDED one net hop before it arrives. Both refusal
-  // checks key on deterministic schedule-derived times — never on a host
-  // clock — which is what makes request outcomes replayable.
+  // checks key on schedule-derived times, never on a core clock.
   const uint64_t decision = req.not_before >= config_.net_latency_cycles
                                 ? req.not_before - config_.net_latency_cycles
                                 : 0;
@@ -372,7 +368,7 @@ void KvCluster::SendRepl(Core& core, uint32_t from, uint32_t to,
     bool progress = false;
     DrainRepl(core, from, shard, touched, &progress);
     if (!progress) {
-      std::this_thread::yield();
+      WaitForPeers();
     }
   }
 }
@@ -448,11 +444,11 @@ void KvCluster::Respond(Core& core, uint32_t node, const ResponseMsg& resp) {
   const uint32_t driver =
       static_cast<uint32_t>(resp.client % config_.ycsb.threads);
   X9Inbox& out = *nodes_[node]->responses[driver];
-  // Transiently full is fine (the driver keeps draining); the wait is
-  // host-side so a blocked worker's clock doesn't inflate later requests.
+  // Transiently full is fine (the driver keeps draining); the wait passes
+  // the baton so a blocked worker's clock doesn't inflate later requests.
   while (!out.TryWrite(core, &resp, config_.response_prestore)) {
     while (!out.CanWrite()) {
-      std::this_thread::yield();
+      WaitForPeers();
     }
   }
 }
@@ -476,8 +472,7 @@ void KvCluster::ServeOne(Core& core, uint32_t node, uint32_t shard,
     // NACK by the attempt's ARRIVAL time, not this worker's clock: a
     // request that arrived before the fault is served even if the worker
     // gets to it later (queued work completes), and one that arrived after
-    // is refused no matter how idle the worker was — pure in deterministic
-    // times, so outcomes replay.
+    // is refused no matter how idle the worker was.
     const uint64_t at = RelTime(r.not_before);
     if (injector_->NodeKilled(node, at) || injector_->NodeDraining(node, at)) {
       resp.status = kStatusRetryAfter;
@@ -578,12 +573,11 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
       continue;
     }
 
-    // Idle. Same host-time-only discipline as the single-machine worker —
-    // EXCEPT when only a future hint replay remains: a demand-driven clock
-    // would never reach the rejoin time on its own, so leap toward it in
-    // bounded chunks once no more client work can arrive.
-    if (drivers_done_.load(std::memory_order_acquire) &&
-        !sh.requests->Peek()) {
+    // Idle. Same demand-driven clock as the single-machine worker — EXCEPT
+    // when only a future hint replay remains: a demand-driven clock would
+    // never reach the rejoin time on its own, so leap toward it in bounded
+    // chunks once no more client work can arrive.
+    if (drivers_done_ && !sh.requests->Peek()) {
       if (unresolved) {
         const uint64_t target = origin_ + next_replay;
         if (core.now() < target) {
@@ -593,13 +587,11 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
       }
       if (!send_done) {
         send_done = true;
-        workers_send_done_.fetch_add(1, std::memory_order_acq_rel);
+        ++workers_send_done_;
       }
-      if (workers_send_done_.load(std::memory_order_acquire) ==
-          total_workers) {
+      if (workers_send_done_ == total_workers) {
         // No sender will produce again; drain until every incoming channel
-        // is quiesced (a straggler may publish one message after our last
-        // Peek — the X9 Close contract's reasoning applies here too).
+        // is quiesced.
         bool quiesced = true;
         for (uint32_t from = 0; from < num_nodes(); ++from) {
           if (from != node) {
@@ -611,7 +603,7 @@ void KvCluster::WorkerLoop(uint32_t node, uint32_t shard) {
         }
       }
     }
-    std::this_thread::yield();
+    WaitForPeers();
   }
 }
 

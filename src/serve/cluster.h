@@ -24,16 +24,14 @@
 //
 // Every refusal decision — client-side pre-check and server-side NACK —
 // is keyed on the request attempt's SCHEDULED arrival time, a pure
-// function of the client's arrival schedule and deterministic backoffs,
-// never on a host-visible clock. That is the cluster's determinism
-// argument: the set of (who served it, final status) outcomes replays
-// byte-identically under the same seed + fault plan, no matter how host
-// threads interleave (see DESIGN.md §11 for the full argument and its
-// backpressure caveat).
+// function of the client's arrival schedule and deterministic backoffs.
+// Workers and drivers run as bodies of one baton runner in a fixed
+// (round, node, core) order, so outcomes, latencies and every counter
+// replay byte-identically under the same seed + fault plan (DESIGN.md
+// §11).
 #ifndef SRC_SERVE_CLUSTER_H_
 #define SRC_SERVE_CLUSTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -53,7 +51,7 @@ namespace prestore {
 // Consistent-hash placement: each node contributes `virtual_nodes` points
 // on a 64-bit ring; a key's replica set is the first `replication`
 // DISTINCT nodes clockwise from the key's hash. Immutable after
-// construction and shared read-only by every driver thread.
+// construction and shared read-only by every driver.
 class ShardRouter {
  public:
   ShardRouter(uint32_t nodes, uint32_t virtual_nodes, uint32_t replication,
@@ -79,9 +77,7 @@ class ShardRouter {
 // Router-side per-node health: consecutive retry-after/refused counts and
 // capped exponential probe backoff. One instance per LOGICAL CLIENT (each
 // client learns about failures through its own requests), which keeps the
-// failover decisions a pure function of that client's deterministic
-// request schedule — a shared mutable view would order updates by host
-// interleaving.
+// failover decisions a function of that client's own request history.
 class NodeHealthView {
  public:
   NodeHealthView(uint32_t nodes, const ServeConfig& cfg)
@@ -241,7 +237,7 @@ class KvCluster {
   }
   void DriversDone();  // all drivers resolved all their requests
 
-  // Client side (driver threads). `driver` doubles as the injector's
+  // Client side (drivers). `driver` doubles as the injector's
   // rejection-log lane. req.not_before must carry the attempt's arrival
   // time (decision + one net hop).
   SubmitStatus TrySubmit(uint32_t driver, uint32_t node,
@@ -254,7 +250,7 @@ class KvCluster {
   // queues are drained, and hints are replayed or dropped.
   void WorkerLoop(uint32_t node, uint32_t shard);
 
-  // ---- Post-run inspection (call after the run's threads have joined) ----
+  // ---- Post-run inspection (call after the run has returned) ----
   std::vector<NodeReport> NodeReports() const;
   // Applied-write token: identifies one acknowledged PUT across replicas.
   static uint64_t Token(uint64_t client, uint64_t seq) {
@@ -273,7 +269,7 @@ class KvCluster {
   struct NodeShard;
   struct Node;
 
-  // Worker-loop pieces (all run on (node, shard)'s worker host thread).
+  // Worker-loop pieces (all run in (node, shard)'s worker body).
   void DrainRepl(Core& core, uint32_t node, uint32_t shard,
                  std::vector<SimAddr>* touched, bool* progress);
   void ServeOne(Core& core, uint32_t node, uint32_t shard,
@@ -298,12 +294,12 @@ class KvCluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   // channels_[from][to][shard]: X9Inbox on node `to`'s machine, written
   // through a dedicated ingress core of that machine (one per (sender,
-  // shard), so each channel has exactly one writing host thread).
+  // shard), so each channel has exactly one writing body).
   std::vector<std::vector<std::vector<std::unique_ptr<ReplChannel>>>>
       channels_;
   uint64_t origin_ = 0;
-  std::atomic<bool> drivers_done_{false};
-  std::atomic<uint32_t> workers_send_done_{0};
+  bool drivers_done_ = false;
+  uint32_t workers_send_done_ = 0;
   bool preloaded_ = false;
 
   // Lazy post-run cache of per-node applied-token sets.
@@ -312,8 +308,9 @@ class KvCluster {
 };
 
 // Runs the open-loop cluster YCSB workload: N*S shard workers plus
-// ycsb.threads driver host threads multiplexing num_clients() logical
-// open-loop clients. Preloads on first use; stats cover the serving window
+// ycsb.threads drivers multiplexing num_clients() logical open-loop
+// clients, all bodies of one baton runner in (round, node, core) order with
+// the drivers last. Preloads on first use; stats cover the serving window
 // only. See DESIGN.md §11.
 ClusterResult RunClusterYcsb(KvCluster& cluster,
                              const ClusterRunOptions& options = {});

@@ -1,14 +1,18 @@
 // Open-loop load generation for the replicated cluster (DESIGN.md §11).
 //
-// `ycsb.threads` driver host threads multiplex `num_clients()` logical
-// open-loop clients (client c belongs to driver c % D). Each client owns a
+// `ycsb.threads` drivers multiplex `num_clients()` logical open-loop
+// clients (client c belongs to driver c % D). Each client owns a
 // deterministic arrival schedule, its own rng, and its own NodeHealthView;
 // each driver owns one simulated core PER NODE MACHINE (submissions and
 // response reads to node n are charged to driver core d of machine n).
+// A driver is a baton-runner body whose clock is its clients' earliest
+// pending action; it fires a request only once the round deadline has
+// passed the request's scheduled time, which keeps every client within one
+// round of the shard workers.
 //
 // The failover state machine lives here, client-side:
-//  - every attempt has a DECISION time (a pure function of the client's
-//    schedule and its previous failed attempts, never a host clock) and an
+//  - every attempt has a DECISION time (a function of the client's
+//    schedule and its previous failed attempts, never a core clock) and an
 //    arrival time one net hop later (RequestMsg::not_before);
 //  - an attempt refused by the router's fault pre-check, or NACKed by the
 //    node, costs one refusal round trip: decision += 2 * net, and the next
@@ -18,28 +22,18 @@
 //  - an exhausted pass over the replica set costs one capped backoff;
 //    max_attempts passes abandon the request as "failed" (never dropped).
 //
-// Determinism scope: with max_inflight = 1 each client's health events are
-// totally ordered by its own request sequence, so the (node, status)
-// outcome of every request is a pure function of seed + fault plan (the
-// determinism tests and the bench self-check run in this regime, with
-// admission queues deep enough not to saturate). Deeper per-client
-// pipelines let NACK observations interleave with later submissions in
-// host order, and node choice near a fault edge may vary — acked-write
-// durability and the zero-loss guarantee hold regardless.
+// Determinism: the whole run executes in one baton order, so the outcome of
+// every request, every latency and every counter is a pure function of seed
+// + fault plan, at any max_inflight.
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "src/kv/ycsb.h"
 #include "src/serve/cluster.h"
-#include "src/serve/schedule_window.h"
+#include "src/sim/baton.h"
 #include "src/sim/harness.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
@@ -121,7 +115,7 @@ class Driver {
  public:
   Driver(KvCluster& cluster, uint32_t driver, const ClusterRunOptions& opts,
          const ZipfianGenerator& zipf, const std::vector<FuncToken>& read_funcs,
-         ScheduleWindow& board, uint64_t origin, DriverCtx& out)
+         uint64_t origin, DriverCtx& out)
       : cluster_(cluster),
         cfg_(cluster.config()),
         d_(driver),
@@ -129,16 +123,12 @@ class Driver {
         opts_(opts),
         zipf_(zipf),
         read_funcs_(read_funcs),
-        board_(board),
         origin_(origin),
         measure_from_(origin + cluster.config().settle_cycles),
         read_ratio_(YcsbReadRatio(cluster.config().ycsb.workload)),
         net_(cluster.config().net_latency_cycles),
-        out_(out) {}
-
-  void Run() {
+        out_(out) {
     const uint32_t nclients = cluster_.num_clients();
-    const uint32_t total = cfg_.ycsb.ops_per_thread;
     const uint64_t interval = cfg_.open_loop_interval;
     for (uint32_t c = d_; c < nclients; c += ndrivers_) {
       // Stagger all logical clients across one interval (herd avoidance,
@@ -146,11 +136,33 @@ class Driver {
       clients_.emplace_back(c, origin_ + interval * c / nclients,
                             cluster_.num_nodes(), cfg_,
                             cfg_.ycsb.seed * 1315423911ULL + c);
-      if (total == 0) {
-        clients_.back().finished = true;
-        board_.Advance(c, UINT64_MAX);
+      clients_.back().finished = cfg_.ycsb.ops_per_thread == 0;
+    }
+  }
+
+  // The driver's simulated clock for the baton runner: the earliest time
+  // at which one of its clients has something to do (its next scheduled
+  // send, or the decision time of a pending attempt). The run's origin once
+  // every client has finished.
+  uint64_t Clock() const {
+    const uint32_t total = cfg_.ycsb.ops_per_thread;
+    uint64_t t = UINT64_MAX;
+    for (const LClient& lc : clients_) {
+      if (lc.finished) {
+        continue;
+      }
+      if (lc.sent < total) {
+        t = std::min(t, lc.next_send);
+      }
+      for (const Pending& p : lc.pending) {
+        t = std::min(t, p.decision);
       }
     }
+    return t == UINT64_MAX ? origin_ : t;
+  }
+
+  void Run() {
+    const uint32_t total = cfg_.ycsb.ops_per_thread;
     size_t active = 0;
     for (const LClient& lc : clients_) {
       active += lc.finished ? 0 : 1;
@@ -169,10 +181,11 @@ class Driver {
             ++i;
           }
         }
-        // New request when the schedule and the inflight cap allow it.
+        // New request when the round has reached its scheduled time and
+        // the inflight cap allows it.
         if (lc.sent < total && lc.pending.size() < cfg_.max_inflight &&
-            board_.MayFire(lc.next_send)) {
-          StartRequest(lc, total);
+            lc.next_send < RoundDeadline()) {
+          StartRequest(lc);
           progress = true;
         }
         if (lc.sent == total && lc.pending.empty()) {
@@ -181,7 +194,7 @@ class Driver {
         }
       }
       if (!progress) {
-        std::this_thread::yield();
+        WaitForPeers();
       }
     }
   }
@@ -200,7 +213,7 @@ class Driver {
     return lc.pending.size();
   }
 
-  void StartRequest(LClient& lc, uint32_t total) {
+  void StartRequest(LClient& lc) {
     Pending p;
     p.seq = lc.sent + 1;
     p.key = zipf_.NextScrambled(lc.rng) + 1;
@@ -211,7 +224,6 @@ class Driver {
     cluster_.router().Placement(p.key, p.placement.data());
     ++lc.sent;
     lc.next_send += cfg_.open_loop_interval;
-    board_.Advance(lc.id, lc.sent == total ? UINT64_MAX : lc.next_send);
     lc.pending.push_back(p);
     FinishAttempt(lc, lc.pending.size() - 1);
   }
@@ -242,10 +254,9 @@ class Driver {
             p.target = n;
             return false;
           case SubmitStatus::kRetryAfter:
-            // Admission ring transiently full: a host-level condition, so
-            // it must not move the deterministic decision time. Leave the
-            // attempt parked; the outer loop retries after draining (count
-            // the event once, not once per host-level poll).
+            // Admission ring transiently full: the attempt stays parked at
+            // its decision time and the outer loop retries after draining
+            // (count the event once, not once per retry).
             if (p.target != n || p.inflight) {
               ++out_.retries;
             }
@@ -367,7 +378,6 @@ class Driver {
   const ClusterRunOptions& opts_;
   const ZipfianGenerator& zipf_;
   const std::vector<FuncToken>& read_funcs_;
-  ScheduleWindow& board_;
   const uint64_t origin_;
   const uint64_t measure_from_;
   const double read_ratio_;
@@ -376,29 +386,8 @@ class Driver {
   std::vector<LClient> clients_;
 };
 
-[[noreturn]] void ClusterWatchdogAbort(KvCluster& cluster, uint32_t nthreads,
-                                       const std::vector<bool>& finished,
-                                       uint64_t watchdog_ms) {
-  std::fprintf(stderr,
-               "RunClusterYcsb watchdog: run exceeded %llu ms; aborting.\n",
-               static_cast<unsigned long long>(watchdog_ms));
-  for (uint32_t t = 0; t < nthreads; ++t) {
-    std::fprintf(stderr, "  thread %2u: %s\n", t,
-                 finished[t] ? "finished" : "STILL RUNNING");
-  }
-  for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
-    Machine& m = cluster.machine(n);
-    for (uint32_t c = 0; c < m.num_cores(); ++c) {
-      std::fprintf(stderr, "  node %u core %2u: now=%llu\n", n, c,
-                   static_cast<unsigned long long>(m.core(c).PublishedNow()));
-    }
-  }
-  std::abort();
-}
-
 std::string SerializeOutcomes(std::vector<OutcomeRec>& recs) {
-  // Sorted by (client, seq): resolution ORDER is host-dependent, the sorted
-  // CONTENT is the deterministic object two runs must agree on.
+  // Sorted by (client, seq), so the log reads per client.
   std::sort(recs.begin(), recs.end(),
             [](const OutcomeRec& a, const OutcomeRec& b) {
               return a.client != b.client ? a.client < b.client
@@ -430,7 +419,6 @@ ClusterResult RunClusterYcsb(KvCluster& cluster,
   const uint32_t nnodes = cluster.num_nodes();
   const uint32_t nshards = cluster.num_shards();
   const uint32_t ndrivers = cluster.num_drivers();
-  const uint32_t nclients = cluster.num_clients();
   const size_t nphases = options.phase_marks.size() + 1;
 
   cluster.Preload();
@@ -442,17 +430,14 @@ ClusterResult RunClusterYcsb(KvCluster& cluster,
     m.ResetStats();
     t0 = std::max(t0, m.GlobalTime());
   }
-  // The run's origin: preload duration varies with host thread interleaving
-  // by a little; rounding up to a large quantum makes the origin (and with
-  // it every run-relative time) reproducible across runs.
+  // The run's origin, rounded up to a large quantum so every run-relative
+  // time has round numbers.
   constexpr uint64_t kOriginQuantum = 1ULL << 20;
   const uint64_t origin = (t0 + kOriginQuantum - 1) / kOriginQuantum *
                           kOriginQuantum;
   cluster.BeginRun(origin);
 
   const ZipfianGenerator zipf(cfg.ycsb.num_keys, cfg.ycsb.zipf_theta);
-  ScheduleWindow board(nclients, cfg.open_loop_interval,
-                       std::max(1u, cfg.max_inflight), origin);
   std::vector<FuncToken> read_funcs;
   for (uint32_t n = 0; n < nnodes; ++n) {
     read_funcs.push_back(FuncToken{cluster.machine(n).registry().Intern(
@@ -464,59 +449,40 @@ ClusterResult RunClusterYcsb(KvCluster& cluster,
     ctx.phase_gets.assign(nphases, 0);
     ctx.phase_puts.assign(nphases, 0);
   }
-  std::atomic<uint32_t> drivers_left{ndrivers};
-
-  // Custom cross-machine launcher (RunParallel drives one machine only):
-  // N*S shard workers + D drivers, exception capture, optional watchdog.
-  const uint32_t nthreads = nnodes * nshards + ndrivers;
-  const uint64_t watchdog_ms = harness_internal::DefaultWatchdogMs();
-  std::mutex mu;
-  std::condition_variable cv;
-  uint32_t done = 0;
-  std::vector<bool> finished(nthreads, false);
-  std::exception_ptr first_error;
-  std::vector<std::thread> threads;
-  threads.reserve(nthreads);
-  for (uint32_t t = 0; t < nthreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::exception_ptr error;
-      try {
-        if (t < nnodes * nshards) {
-          cluster.WorkerLoop(t / nshards, t % nshards);
-        } else {
-          const uint32_t d = t - nnodes * nshards;
-          Driver(cluster, d, options, zipf, read_funcs, board, origin,
-                 ctxs[d])
-              .Run();
-          if (drivers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            cluster.DriversDone();
-          }
-        }
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (error != nullptr && first_error == nullptr) {
-        first_error = error;
-      }
-      finished[t] = true;
-      ++done;
-      cv.notify_all();
-    });
+  std::vector<std::unique_ptr<Driver>> drivers;
+  for (uint32_t d = 0; d < ndrivers; ++d) {
+    drivers.push_back(std::make_unique<Driver>(cluster, d, options, zipf,
+                                               read_funcs, origin, ctxs[d]));
   }
-  if (watchdog_ms != 0) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (!cv.wait_for(lock, std::chrono::milliseconds(watchdog_ms),
-                     [&] { return done == nthreads; })) {
-      ClusterWatchdogAbort(cluster, nthreads, finished, watchdog_ms);
+  uint32_t drivers_left = ndrivers;
+
+  // One baton runner for the whole cluster: every node's shard workers in
+  // (node, core) order, then the drivers.
+  BatonOptions baton;
+  baton.watchdog_ms = harness_internal::DefaultWatchdogMs();
+  baton.name = "RunClusterYcsb";
+  BatonRunner runner(origin, baton);
+  char label[48];
+  for (uint32_t n = 0; n < nnodes; ++n) {
+    for (uint32_t s = 0; s < nshards; ++s) {
+      std::snprintf(label, sizeof(label), "node %u core %2u", n, s);
+      runner.Add(label, cluster.machine(n).core(s),
+                 [&cluster, n, s] { cluster.WorkerLoop(n, s); });
     }
   }
-  for (std::thread& th : threads) {
-    th.join();
+  for (uint32_t d = 0; d < ndrivers; ++d) {
+    Driver* driver = drivers[d].get();
+    std::snprintf(label, sizeof(label), "driver %u", d);
+    runner.Add(
+        label, [driver] { return driver->Clock(); },
+        [driver, &drivers_left, &cluster] {
+          driver->Run();
+          if (--drivers_left == 0) {
+            cluster.DriversDone();
+          }
+        });
   }
-  if (first_error != nullptr) {
-    std::rethrow_exception(first_error);
-  }
+  runner.Run();
 
   ClusterResult result;
   for (uint32_t n = 0; n < nnodes; ++n) {

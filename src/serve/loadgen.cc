@@ -1,11 +1,9 @@
 #include "src/serve/loadgen.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <thread>
 
-#include "src/serve/schedule_window.h"
+#include "src/sim/baton.h"
 #include "src/sim/harness.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
@@ -40,15 +38,14 @@ void ReadValue(Core& core, FuncToken func, SimAddr value, uint32_t size) {
 class ClientSession {
  public:
   ClientSession(KvServer& server, Core& core, uint32_t client,
-                std::atomic<uint64_t>& latest_key, FuncToken read_func,
-                ScheduleWindow& board, ClientCounters& out)
+                uint64_t& latest_key, FuncToken read_func,
+                ClientCounters& out)
       : server_(server),
         core_(core),
         cfg_(server.config()),
         client_(client),
         latest_key_(latest_key),
         read_func_(read_func),
-        board_(board),
         out_(out),
         rng_(cfg_.ycsb.seed * 1315423911ULL + client),
         zipf_(cfg_.ycsb.num_keys, cfg_.ycsb.zipf_theta),
@@ -79,7 +76,6 @@ class ClientSession {
                                            std::max(1u, cfg_.ycsb.threads);
     uint32_t sent = 0;
     uint32_t inflight = 0;
-    board_.Advance(client_, total > 0 ? next_send : UINT64_MAX);
     ResponseMsg resp;
     while (sent < total || inflight > 0) {
       if (inflight > 0 && server_.HasResponse(client_) &&
@@ -89,18 +85,12 @@ class ClientSession {
         continue;
       }
       if (sent < total && inflight < cfg_.max_inflight) {
-        if (!board_.MayFire(next_send)) {
-          // A peer's schedule is more than the inflight horizon behind:
-          // hold in host time (responses keep draining at the loop top)
-          // until it catches up. Peers stay registered at the run's start
-          // until they begin, so this doubles as the start barrier.
-          std::this_thread::yield();
-          continue;
-        }
         if (core_.now() < next_send) {
           // Idle until the scheduled arrival. Execute (not SpinPause): the
           // arrival process is externally timed, so the client's clock must
-          // be free to run ahead of the server cores.
+          // be free to run ahead of the server cores — by at most one baton
+          // round, which is what keeps open-loop clients within a quantum
+          // of each other.
           core_.Execute(
               std::min<uint64_t>(next_send - core_.now(), 256));
           continue;
@@ -120,22 +110,20 @@ class ClientSession {
           ++sent;
           ++inflight;
           next_send += cfg_.open_loop_interval;
-          board_.Advance(client_, sent == total ? UINT64_MAX : next_send);
         } else {
           ++out_.retries;
           core_.Execute(cfg_.retry_backoff_cycles);
         }
         continue;
       }
-      // At the inflight cap (or drained of sends): wait in HOST time only;
-      // Record clamps the clock to each response's completion. The wait
-      // must never advance toward the global maximum clock (SpinPause):
-      // that couples every capped client to the fastest core, their
-      // response-processing work then stacks serially onto that one shared
-      // timeline, and once the combined work rate passes one cycle per
-      // cycle the whole run's latencies diverge — a metastable collapse
-      // ignited by nothing but host scheduling noise.
-      std::this_thread::yield();
+      // At the inflight cap (or drained of sends): pass the baton without
+      // advancing the clock; Record clamps the clock to each response's
+      // completion. The wait must never advance toward the global maximum
+      // clock (SpinPause): that couples every capped client to the fastest
+      // core, their response-processing work then stacks serially onto
+      // that one shared timeline, and once the combined work rate passes
+      // one cycle per cycle the whole run's latencies diverge.
+      WaitForPeers();
     }
   }
 
@@ -145,14 +133,14 @@ class ClientSession {
   // freshly inserted key).
   bool NextOp(uint64_t* key) {
     if (cfg_.ycsb.workload == YcsbWorkload::kD) {
-      const uint64_t latest = latest_key_.load(std::memory_order_relaxed);
+      const uint64_t latest = latest_key_;
       *key = latest - std::min<uint64_t>(zipf_.Next(rng_), latest - 1);
     } else {
       *key = zipf_.NextScrambled(rng_) + 1;
     }
     const bool is_read = rng_.NextDouble() < read_ratio_;
     if (!is_read && cfg_.ycsb.workload == YcsbWorkload::kD) {
-      *key = latest_key_.fetch_add(1, std::memory_order_relaxed) + 1;
+      *key = ++latest_key_;
     }
     return is_read;
   }
@@ -170,12 +158,12 @@ class ClientSession {
       core_.Execute(cfg_.retry_backoff_cycles);
     }
     ResponseMsg resp;
-    // Host-side wait (see RunOpenLoop): the Peek gate keeps it free of
-    // per-poll charges, and Record advances the clock to the true service
-    // completion.
+    // Wait for the worker (see RunOpenLoop): the Peek gate keeps the wait
+    // free of per-poll charges, and Record advances the clock to the true
+    // service completion.
     while (!(server_.HasResponse(client_) &&
              server_.TryGetResponse(core_, client_, &resp))) {
-      std::this_thread::yield();
+      WaitForPeers();
     }
     Record(resp);
   }
@@ -209,9 +197,8 @@ class ClientSession {
   Core& core_;
   const ServeConfig& cfg_;
   const uint32_t client_;
-  std::atomic<uint64_t>& latest_key_;
+  uint64_t& latest_key_;
   const FuncToken read_func_;
-  ScheduleWindow& board_;
   ClientCounters& out_;
   Xoshiro256 rng_;
   ZipfianGenerator zipf_;
@@ -236,11 +223,7 @@ ServeResult ServeYcsb(Machine& machine, KvServer& server) {
   machine.ResetStats();
 
   std::vector<ClientCounters> counters(nclients);
-  // One-interval buckets, inflight-horizon window — the same conservative
-  // bound ScheduleBoard enforced, now O(1) per advance (schedule_window.h).
-  ScheduleWindow board(nclients, cfg.open_loop_interval,
-                       std::max(1u, cfg.max_inflight), machine.GlobalTime());
-  std::atomic<uint64_t> latest_key{cfg.ycsb.num_keys};
+  uint64_t latest_key = cfg.ycsb.num_keys;
   const uint64_t cycles = RunParallel(
       machine, nshards + nclients, [&](Core& core, uint32_t tid) {
         if (tid < nshards) {
@@ -249,7 +232,7 @@ ServeResult ServeYcsb(Machine& machine, KvServer& server) {
         }
         const uint32_t client = tid - nshards;
         ClientSession session(server, core, client, latest_key, read_func,
-                              board, counters[client]);
+                              counters[client]);
         if (cfg.open_loop) {
           session.RunOpenLoop();
         } else {

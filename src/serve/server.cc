@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <thread>
 
 #include "src/kv/clht.h"
 #include "src/kv/masstree.h"
+#include "src/sim/baton.h"
 #include "src/sim/harness.h"
 
 namespace prestore {
@@ -162,15 +162,13 @@ bool KvServer::TryGetResponse(Core& core, uint32_t client, ResponseMsg* out) {
 }
 
 void KvServer::BeginRun() {
-  clients_done_.store(0, std::memory_order_release);
+  clients_done_ = 0;
   for (Shard& shard : shards_) {
     shard.batches = 0;
   }
 }
 
-void KvServer::ClientDone() {
-  clients_done_.fetch_add(1, std::memory_order_release);
-}
+void KvServer::ClientDone() { ++clients_done_; }
 
 void KvServer::SetWorkload(YcsbWorkload workload, uint32_t ops_per_thread) {
   config_.ycsb.workload = workload;
@@ -189,25 +187,22 @@ void KvServer::ShardWorkerLoop(Core& core, uint32_t shard_idx) {
   touched.reserve(config_.batch_max);
   RequestMsg req;
   while (true) {
-    // The done flag is read BEFORE the failed probe: clients only call
-    // ClientDone() after receiving every response, so all their requests
-    // were consumed before the flag rose — a failed probe that follows an
-    // observed "all done" means the queue is empty forever.
-    const bool all_done =
-        clients_done_.load(std::memory_order_acquire) == nclients;
+    // Clients only call ClientDone() after receiving every response, so
+    // all their requests were consumed before the count rose — an empty
+    // queue once every client is done means empty forever.
     batch.clear();
     if (shard.requests->Peek() && shard.requests->TryRead(core, &req)) {
       batch.push_back(req);
-    } else if (all_done) {
+    } else if (clients_done_ == nclients) {
       break;
     } else {
-      // Idle: wait in HOST time only (free Peek + yield). An idle worker's
-      // clock must be demand-driven — it advances for work and for bounded
-      // batch-window waits, never per poll: a failed TryRead costs real
-      // cycles, and paying them once per host-scheduler iteration would
-      // make service start times (and every latency derived from them)
-      // measure the host's thread interleaving instead of the simulation.
-      std::this_thread::yield();
+      // Idle: pass the baton until a client has submitted (free Peek, no
+      // clock advance). An idle worker's clock must be demand-driven — it
+      // advances for work and for bounded batch-window waits, never per
+      // poll: a failed TryRead costs real cycles, and paying them once per
+      // idle slice would make service start times (and every latency
+      // derived from them) measure the slice schedule, not the service.
+      WaitForPeers();
       continue;
     }
     // The dequeued request sets the worker's time base: the server cannot
@@ -262,13 +257,14 @@ void KvServer::ShardWorkerLoop(Core& core, uint32_t shard_idx) {
       resp.completion_time = core.now();  // service done; reply in flight
       // The response ring can be transiently full (open loop at
       // max_inflight) or claimed by another shard answering the same
-      // client; both resolve because clients keep draining. The wait is
-      // host-side (CanWrite + yield): blocking on the client must not
-      // inflate this worker's clock, which times every later completion.
+      // client; both resolve because clients keep draining. The wait
+      // passes the baton (CanWrite is free): blocking on the client must
+      // not inflate this worker's clock, which times every later
+      // completion.
       X9Inbox& out = *responses_[r.client];
       while (!out.TryWrite(core, &resp, config_.response_prestore)) {
         while (!out.CanWrite()) {
-          std::this_thread::yield();
+          WaitForPeers();
         }
       }
     }

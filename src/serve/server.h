@@ -14,7 +14,6 @@
 #ifndef SRC_SERVE_SERVER_H_
 #define SRC_SERVE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -86,7 +85,7 @@ class KvServer {
   bool TryGetResponse(Core& core, uint32_t client, ResponseMsg* out);
   // Host-side probe of the client's response inbox (no simulated cost; see
   // X9Inbox::Peek). Gates charged TryGetResponse polls so a waiting
-  // client's clock does not accumulate host-scheduler-dependent poll work.
+  // client's clock does not accumulate per-poll work.
   bool HasResponse(uint32_t client) { return responses_[client]->Peek(); }
 
   // Runs shard `shard`'s worker loop on `core` until every client has
@@ -135,7 +134,7 @@ class KvServer {
   std::vector<std::unique_ptr<X9Inbox>> responses_;  // one per client
   std::unique_ptr<PrestoreGovernor> governor_;
   std::unique_ptr<RegionMonitor> monitor_;
-  std::atomic<uint32_t> clients_done_{0};
+  uint32_t clients_done_ = 0;
   bool preloaded_ = false;
 
   FuncToken craft_func_;

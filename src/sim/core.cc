@@ -1,12 +1,10 @@
 #include "src/sim/core.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <cassert>
 
+#include "src/sim/baton.h"
 #include "src/sim/machine.h"
-#include "src/sim/optlock.h"
 
 namespace prestore {
 
@@ -19,15 +17,11 @@ Core::Core(Machine* machine, uint8_t id, const MachineConfig& config)
     : machine_(machine), id_(id), config_(config), l1_(config.l1, config.seed ^ (0x17ULL * id + 3)) {}
 
 void Core::RefreshFastPathFlags() {
-  sink_fast_.store(machine_->trace_sink(), std::memory_order_release);
-  has_hooks_.store(!machine_->prestore_hooks().empty(),
-                   std::memory_order_release);
-  lock_free_.store(machine_->exclusive_execution(),
-                   std::memory_order_release);
-  fast_forward_.store(machine_->fast_forward_enabled(),
-                      std::memory_order_release);
+  sink_fast_ = machine_->trace_sink();
+  has_hooks_ = !machine_->prestore_hooks().empty();
+  fast_forward_ = machine_->fast_forward_enabled();
   AccessSampleHook* sampler = machine_->access_sample_hook();
-  sampler_fast_.store(sampler, std::memory_order_release);
+  sampler_fast_ = sampler;
   const uint32_t period = sampler != nullptr ? sampler->SamplePeriod() : 0;
   if (period != sample_period_) {
     sample_period_ = period;
@@ -181,20 +175,15 @@ bool Core::WaitPendingWriteback(uint64_t line_addr) {
 // ---- L1 fill ----
 
 void Core::FillL1(uint64_t line_addr, bool exclusive, bool dirty) {
-  SetAssocCache::Victim victim;
-  {
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    CacheLineMeta* present = l1_.Touch(line_addr);
-    if (present != nullptr) {
-      present->exclusive = present->exclusive || exclusive;
-      present->dirty = present->dirty || dirty;
-      return;
-    }
-    CacheLineMeta* meta = nullptr;
-    SetAssocCache::Victim v = l1_.Insert(line_addr, dirty, &meta);
-    meta->exclusive = exclusive;
-    victim = v;
+  CacheLineMeta* present = l1_.Touch(line_addr);
+  if (present != nullptr) {
+    present->exclusive = present->exclusive || exclusive;
+    present->dirty = present->dirty || dirty;
+    return;
   }
+  CacheLineMeta* meta = nullptr;
+  const SetAssocCache::Victim victim = l1_.Insert(line_addr, dirty, &meta);
+  meta->exclusive = exclusive;
   if (victim.valid) {
     machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty, now_);
   }
@@ -203,13 +192,10 @@ void Core::FillL1(uint64_t line_addr, bool exclusive, bool dirty) {
 // ---- Per-line timing paths ----
 
 void Core::LineLoad(uint64_t line_addr) {
-  {
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    if (l1_.Touch(line_addr) != nullptr) {
-      ++stats_.l1_hits;
-      now_ += config_.l1.hit_latency;
-      return;
-    }
+  if (l1_.Touch(line_addr) != nullptr) {
+    ++stats_.l1_hits;
+    now_ += config_.l1.hit_latency;
+    return;
   }
   if (SbContains(line_addr)) {
     // Store-to-load forwarding from the private buffer.
@@ -286,14 +272,11 @@ void Core::LineStore(uint64_t line_addr) {
     NotifyRewriteIfCleaned(line_addr);
   }
   WaitPendingWriteback(line_addr);
-  {
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    CacheLineMeta* meta = l1_.Touch(line_addr);
-    if (meta != nullptr && meta->exclusive) {
-      meta->dirty = true;
-      now_ += kStoreIssueCost;
-      return;
-    }
+  CacheLineMeta* meta = l1_.Touch(line_addr);
+  if (meta != nullptr && meta->exclusive) {
+    meta->dirty = true;
+    now_ += kStoreIssueCost;
+    return;
   }
   now_ += kStoreIssueCost;
   if (config_.drain == StoreDrainPolicy::kEagerTso) {
@@ -321,18 +304,16 @@ size_t Core::FastForwardOps(const ReplayOp* ops, size_t n,
   // Run-level hazards: any observer (trace sink, pre-store hook, access
   // sampler) must see every op at full fidelity, so an observed run never
   // fast-forwards.
-  if (n == 0 || !fast_forward_.load(std::memory_order_relaxed) ||
-      sink_fast_.load(std::memory_order_acquire) != nullptr || HasHooks() ||
+  if (n == 0 || !fast_forward_ || sink_fast_ != nullptr || HasHooks() ||
       sample_period_ != 0) {
     return 0;
   }
   const uint64_t ls = config_.line_size;
   const uint64_t line_mask = ls - 1;
   const uint64_t hit_latency = config_.l1.hit_latency;
-  // The L1-miss legs (LLC-hit load, store publication) additionally need:
-  // exclusive execution (they touch shared LLC state without the shard
-  // lock) and an empty store buffer (so the slow path's forwarding / drain
-  // interactions are provably no-ops; always empty under eager TSO). The
+  // The L1-miss legs (LLC-hit load, store publication) additionally need an
+  // empty store buffer (so the slow path's forwarding / drain interactions
+  // are provably no-ops; always empty under eager TSO). The
   // buffer cannot grow inside the loop (no leg inserts into it), so one
   // check up front covers the whole run. The write-combining queue is NOT
   // required to be empty — completed entries linger until lazily popped —
@@ -340,7 +321,7 @@ size_t Core::FastForwardOps(const ReplayOp* ops, size_t n,
   // in-flight writeback (WaitPendingWriteback erases it and may advance
   // the clock), so each leg scans for a match and bails on one; a
   // non-matching scan mutates nothing on either path.
-  const bool miss_legs = LockFree() && sb_.empty();
+  const bool miss_legs = sb_.empty();
   const bool tso = config_.drain == StoreDrainPolicy::kEagerTso;
   // Accumulate in locals and charge once at exit: the loop body is a probe,
   // a compare, and register bumps — no member traffic per op.
@@ -353,224 +334,218 @@ size_t Core::FastForwardOps(const ReplayOp* ops, size_t n,
   uint64_t publishes = 0;
   uint64_t publish_latency_sum = 0;
   size_t i = 0;
-  {
-    // One lock acquisition covers the whole run (elided entirely in
-    // exclusive execution). Callers bound `n`, so in concurrent runs the
-    // hold time stays short (see kFastForwardChunk in replay.h).
-    OptionalLockGuard lock(l1_mu_, LockFree());
-    for (; i < n; ++i) {
-      if (now >= deadline) {
-        break;  // quantum exhausted: the op belongs to a later slice
+  for (; i < n; ++i) {
+    if (now >= deadline) {
+      break;  // quantum exhausted: the op belongs to a later slice
+    }
+    const ReplayOp& op = ops[i];
+    // The trace is pre-generated, so the lines future ops touch are
+    // known: warm the host caches for the op kPrefetchAhead slots out
+    // while this one executes. Once the simulated working set outgrows
+    // the host LLC, the engine is bound by dependent host misses on the
+    // shard tag/meta arrays and the backing data — overlapping them
+    // across ops is worth more than any instruction-level tuning here.
+    if (i + kPrefetchAhead < n) {
+      const ReplayOp& ahead = ops[i + kPrefetchAhead];
+      if (ahead.kind != ReplayOpKind::kClean) {
+        // Deep (whole-header) prefetch once the recent stream has been
+        // miss-dominated: a miss walks the full tag array, which the
+        // hinted prefetch doesn't cover. The score is host-side state
+        // feeding a pure hardware hint, so its phase lag is harmless.
+        // Host data bytes are only touched by stores (loads are
+        // timing-only here), so loads skip that fetch entirely.
+        machine_->PrefetchForAccess(
+            ahead.addr, deep_prefetch_score_ >= 16,
+            /*host_data=*/ahead.kind == ReplayOpKind::kStore);
       }
-      const ReplayOp& op = ops[i];
-      // The trace is pre-generated, so the lines future ops touch are
-      // known: warm the host caches for the op kPrefetchAhead slots out
-      // while this one executes. Once the simulated working set outgrows
-      // the host LLC, the engine is bound by dependent host misses on the
-      // shard tag/meta arrays and the backing data — overlapping them
-      // across ops is worth more than any instruction-level tuning here.
-      if (i + kPrefetchAhead < n) {
-        const ReplayOp& ahead = ops[i + kPrefetchAhead];
-        if (ahead.kind != ReplayOpKind::kClean) {
-          // Deep (whole-header) prefetch once the recent stream has been
-          // miss-dominated: a miss walks the full tag array, which the
-          // hinted prefetch doesn't cover. The score is host-side state
-          // feeding a pure hardware hint, so its phase lag is harmless.
-          // Host data bytes are only touched by stores (loads are
-          // timing-only here), so loads skip that fetch entirely.
-          machine_->PrefetchForAccess(
-              ahead.addr, deep_prefetch_score_ >= 16,
-              /*host_data=*/ahead.kind == ReplayOpKind::kStore);
-        }
-      }
-      if (op.kind == ReplayOpKind::kClean ||
-          (op.addr & line_mask) + 8 > ls) {
-        break;  // cleans and line-straddling ops take the slow path
-      }
-      if (op.kind == ReplayOpKind::kStore) {
-        // The slow path consults the write-combining queue BEFORE the L1
-        // probe (an in-flight writeback of this line must be joined), so a
-        // matching entry disqualifies the op before any replacement-state
-        // update. Probe (no replacement update) first, Touch only once the
-        // op is known eligible — a bail-out must leave LRU/PLRU stamps
-        // exactly as the slow path's first touch will set them.
-        if (wc_filter_[WcSlot(op.addr)] != 0) {
-          bool pending = false;
-          for (const WcEntry& e : wc_) {
-            if (e.line_addr == op.addr) {
-              pending = true;
-              break;
-            }
-          }
-          if (pending) {
+    }
+    if (op.kind == ReplayOpKind::kClean ||
+        (op.addr & line_mask) + 8 > ls) {
+      break;  // cleans and line-straddling ops take the slow path
+    }
+    if (op.kind == ReplayOpKind::kStore) {
+      // The slow path consults the write-combining queue BEFORE the L1
+      // probe (an in-flight writeback of this line must be joined), so a
+      // matching entry disqualifies the op before any replacement-state
+      // update. Probe (no replacement update) first, Touch only once the
+      // op is known eligible — a bail-out must leave LRU/PLRU stamps
+      // exactly as the slow path's first touch will set them.
+      if (wc_filter_[WcSlot(op.addr)] != 0) {
+        bool pending = false;
+        for (const WcEntry& e : wc_) {
+          if (e.line_addr == op.addr) {
+            pending = true;
             break;
           }
         }
-        CacheLineMeta* meta = l1_.Probe(op.addr);
-        if (meta != nullptr && meta->exclusive) {
-          l1_.Touch(op.addr);
-          meta->dirty = true;
-          now += kStoreIssueCost;
-          deep_prefetch_score_ -= (deep_prefetch_score_ != 0);
-          ++stores;
-          // Functional store, same value pattern the replay driver writes.
-          const uint64_t v = ReplayStoreValue(op.addr);
-          std::memcpy(machine_->HostPtr(op.addr), &v, 8);
-          continue;
-        }
-        // Store-publication leg: L1 miss or shared hit, TSO. The slow path
-        // is LineStore -> PublishLine -> LlcAccess(kWrite) -> FillL1; when
-        // the LLC access is trivial — a TryFastLlcHit hit, or a genuine
-        // miss FastLlcMiss may commit analytically — that chain reduces to
-        // the exact sequence below. On a hit the LLC commit runs before
-        // the L1 touches (a hit mutates no L1 state, so the structures are
-        // disjoint and the final state identical) because a bailing probe
-        // must mutate nothing. On a miss the commit runs between
-        // PublishLine's probe and its FillL1 — exactly where the slow
-        // path's LlcAccess (and its victim back-invalidation, which CAN
-        // touch this L1) runs. Replacement exactness: the slow path
-        // touches the L1 line three times (LineStore's probe, PublishLine's
-        // probe, FillL1) — so does this leg.
-        if (!miss_legs || !tso) {
+        if (pending) {
           break;
         }
-        uint64_t t;
-        const Machine::FastLlc sr = machine_->TryFastLlcHit(
-            id_, op.addr, Machine::AccessMode::kWrite,
-            now + kStoreIssueCost, &t);
-        if (sr == Machine::FastLlc::kBail ||
-            (sr == Machine::FastLlc::kMiss &&
-             !machine_->FastMissEligible(op.addr, /*is_write=*/true))) {
-          break;
-        }
-        l1_.Touch(op.addr);  // LineStore's probe (hit updates replacement)
+      }
+      CacheLineMeta* meta = l1_.Probe(op.addr);
+      if (meta != nullptr && meta->exclusive) {
+        l1_.Touch(op.addr);
+        meta->dirty = true;
         now += kStoreIssueCost;
-        l1_.Touch(op.addr);  // PublishLine's probe
-        if (sr == Machine::FastLlc::kMiss) {
-          deep_prefetch_score_ =
-              deep_prefetch_score_ > 56 ? 64 : deep_prefetch_score_ + 8;
-          // Warm the L1 victim's LLC set before the device leg so the
-          // L1VictimWriteback probe below doesn't stall on it (host-only
-          // peek; a wrong or impossible peek costs nothing).
-          if (const CacheLineMeta* pv = l1_.PeekVictimMeta(op.addr)) {
-            machine_->PrefetchHeadersForAccess(pv->line_addr);
-          }
-          // Analytical LLC-miss commit (stores are never streamed: the
-          // slow path calls LlcAccess with the default streamed=false).
-          t = machine_->FastLlcMiss(id_, op.addr, Machine::AccessMode::kWrite,
-                                    now, /*streamed=*/false);
-        }
-        // PublishLine's FillL1(line, exclusive=true, dirty=true).
-        CacheLineMeta* fill = l1_.Touch(op.addr);
-        if (fill != nullptr) {
-          fill->exclusive = true;
-          fill->dirty = true;
-        } else {
-          SetAssocCache::Victim victim =
-              l1_.Insert(op.addr, /*dirty=*/true, &fill);
-          fill->exclusive = true;
-          if (victim.valid) {
-            machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty,
-                                        now);
-          }
-        }
-        publish_latency_sum += t - now;
-        ++publishes;
-        now_ = now;  // PushBg reads and may advance the member clock
-        PushBg(t);
-        now = now_;
+        deep_prefetch_score_ -= (deep_prefetch_score_ != 0);
         ++stores;
+        // Functional store, same value pattern the replay driver writes.
         const uint64_t v = ReplayStoreValue(op.addr);
         std::memcpy(machine_->HostPtr(op.addr), &v, 8);
+        continue;
+      }
+      // Store-publication leg: L1 miss or shared hit, TSO. The slow path
+      // is LineStore -> PublishLine -> LlcAccess(kWrite) -> FillL1; when
+      // the LLC access is trivial — a TryFastLlcHit hit, or a genuine
+      // miss FastLlcMiss may commit analytically — that chain reduces to
+      // the exact sequence below. On a hit the LLC commit runs before
+      // the L1 touches (a hit mutates no L1 state, so the structures are
+      // disjoint and the final state identical) because a bailing probe
+      // must mutate nothing. On a miss the commit runs between
+      // PublishLine's probe and its FillL1 — exactly where the slow
+      // path's LlcAccess (and its victim back-invalidation, which CAN
+      // touch this L1) runs. Replacement exactness: the slow path
+      // touches the L1 line three times (LineStore's probe, PublishLine's
+      // probe, FillL1) — so does this leg.
+      if (!miss_legs || !tso) {
+        break;
+      }
+      uint64_t t;
+      const Machine::FastLlc sr = machine_->TryFastLlcHit(
+          id_, op.addr, Machine::AccessMode::kWrite,
+          now + kStoreIssueCost, &t);
+      if (sr == Machine::FastLlc::kBail ||
+          (sr == Machine::FastLlc::kMiss &&
+           !machine_->FastMissEligible(op.addr, /*is_write=*/true))) {
+        break;
+      }
+      l1_.Touch(op.addr);  // LineStore's probe (hit updates replacement)
+      now += kStoreIssueCost;
+      l1_.Touch(op.addr);  // PublishLine's probe
+      if (sr == Machine::FastLlc::kMiss) {
+        deep_prefetch_score_ =
+            deep_prefetch_score_ > 56 ? 64 : deep_prefetch_score_ + 8;
+        // Warm the L1 victim's LLC set before the device leg so the
+        // L1VictimWriteback probe below doesn't stall on it (host-only
+        // peek; a wrong or impossible peek costs nothing).
+        if (const CacheLineMeta* pv = l1_.PeekVictimMeta(op.addr)) {
+          machine_->PrefetchHeadersForAccess(pv->line_addr);
+        }
+        // Analytical LLC-miss commit (stores are never streamed: the
+        // slow path calls LlcAccess with the default streamed=false).
+        t = machine_->FastLlcMiss(id_, op.addr, Machine::AccessMode::kWrite,
+                                  now, /*streamed=*/false);
+      }
+      // PublishLine's FillL1(line, exclusive=true, dirty=true).
+      CacheLineMeta* fill = l1_.Touch(op.addr);
+      if (fill != nullptr) {
+        fill->exclusive = true;
+        fill->dirty = true;
       } else {
-        if (l1_.Touch(op.addr) != nullptr) {
-          now += hit_latency;
-          deep_prefetch_score_ -= (deep_prefetch_score_ != 0);
-          ++loads;
-          ++l1_hits_n;
-          continue;
-        }
-        // LLC-hit load leg: the slow path is LineLoad -> LlcAccess(kRead)
-        // -> FillL1; with no in-flight writeback of this line, no recent NT
-        // write, and a trivial LLC hit it reduces to the sequence below. A
-        // failed L1 Touch mutates nothing, so bailing here still leaves
-        // the slow path a bit-identical starting state.
-        if (!miss_legs || RecentlyNtWritten(op.addr)) {
-          break;
-        }
-        if (wc_filter_[WcSlot(op.addr)] != 0) {
-          bool pending = false;
-          for (const WcEntry& e : wc_) {
-            if (e.line_addr == op.addr) {
-              pending = true;
-              break;
-            }
-          }
-          if (pending) {
-            break;  // the slow path joins the in-flight writeback
-          }
-        }
-        uint64_t t;
-        const Machine::FastLlc lr = machine_->TryFastLlcHit(
-            id_, op.addr, Machine::AccessMode::kRead, now, &t);
-        if (lr == Machine::FastLlc::kBail ||
-            (lr == Machine::FastLlc::kMiss &&
-             !machine_->FastMissEligible(op.addr, /*is_write=*/false))) {
-          break;
-        }
-        ++l1_misses_n;
-        // LineLoad's stream-detector update, verbatim. On the LLC-miss leg
-        // it runs BEFORE the device access — the slow path's order, and
-        // `streamed` feeds the discount. On the hit leg it runs after the
-        // commit in TryFastLlcHit, which is equivalent: the discount never
-        // applies to hits, and the stream table and the LLC are disjoint,
-        // so updating after the commit leaves the same final state as the
-        // slow path's update-before-access order.
-        bool streamed = false;
-        for (size_t s = 0; s < kMissStreams; ++s) {
-          if (miss_streams_[s] + ls == op.addr) {
-            miss_streams_[s] = op.addr;
-            streamed = true;
-            break;
-          }
-        }
-        if (!streamed) {
-          miss_streams_[next_stream_] = op.addr;
-          next_stream_ = (next_stream_ + 1) % kMissStreams;
-        }
-        if (lr == Machine::FastLlc::kMiss) {
-          deep_prefetch_score_ =
-              deep_prefetch_score_ > 56 ? 64 : deep_prefetch_score_ + 8;
-          // Warm the L1 victim's LLC set before the device leg (see the
-          // store leg) — the fill insert below will evict it and probe
-          // its LLC set in L1VictimWriteback.
-          if (const CacheLineMeta* pv = l1_.PeekVictimMeta(op.addr)) {
-            machine_->PrefetchHeadersForAccess(pv->line_addr);
-          }
-          // Analytical LLC-miss commit (the exact LlcAccess miss
-          // sequence, including the victim back-invalidation that may
-          // remove an unrelated line from this L1 — before the fill
-          // insert below, as on the slow path).
-          t = machine_->FastLlcMiss(id_, op.addr, Machine::AccessMode::kRead,
-                                    now, streamed);
-        }
-        cycles_load_miss += t - now;
-        now = t;
-        // FillL1(line, exclusive=false, dirty=false): the line is absent
-        // (the probe above just missed, and the only L1 mutation since —
-        // a miss leg's victim back-invalidation — only removes lines), so
-        // the slow path's present-check Touch would be a mutation-free
-        // miss — skip straight to the insert.
-        CacheLineMeta* fill = nullptr;
         SetAssocCache::Victim victim =
-            l1_.Insert(op.addr, /*dirty=*/false, &fill);
-        fill->exclusive = false;
+            l1_.Insert(op.addr, /*dirty=*/true, &fill);
+        fill->exclusive = true;
         if (victim.valid) {
           machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty,
                                       now);
         }
-        ++loads;
       }
+      publish_latency_sum += t - now;
+      ++publishes;
+      now_ = now;  // PushBg reads and may advance the member clock
+      PushBg(t);
+      now = now_;
+      ++stores;
+      const uint64_t v = ReplayStoreValue(op.addr);
+      std::memcpy(machine_->HostPtr(op.addr), &v, 8);
+    } else {
+      if (l1_.Touch(op.addr) != nullptr) {
+        now += hit_latency;
+        deep_prefetch_score_ -= (deep_prefetch_score_ != 0);
+        ++loads;
+        ++l1_hits_n;
+        continue;
+      }
+      // LLC-hit load leg: the slow path is LineLoad -> LlcAccess(kRead)
+      // -> FillL1; with no in-flight writeback of this line, no recent NT
+      // write, and a trivial LLC hit it reduces to the sequence below. A
+      // failed L1 Touch mutates nothing, so bailing here still leaves
+      // the slow path a bit-identical starting state.
+      if (!miss_legs || RecentlyNtWritten(op.addr)) {
+        break;
+      }
+      if (wc_filter_[WcSlot(op.addr)] != 0) {
+        bool pending = false;
+        for (const WcEntry& e : wc_) {
+          if (e.line_addr == op.addr) {
+            pending = true;
+            break;
+          }
+        }
+        if (pending) {
+          break;  // the slow path joins the in-flight writeback
+        }
+      }
+      uint64_t t;
+      const Machine::FastLlc lr = machine_->TryFastLlcHit(
+          id_, op.addr, Machine::AccessMode::kRead, now, &t);
+      if (lr == Machine::FastLlc::kBail ||
+          (lr == Machine::FastLlc::kMiss &&
+           !machine_->FastMissEligible(op.addr, /*is_write=*/false))) {
+        break;
+      }
+      ++l1_misses_n;
+      // LineLoad's stream-detector update, verbatim. On the LLC-miss leg
+      // it runs BEFORE the device access — the slow path's order, and
+      // `streamed` feeds the discount. On the hit leg it runs after the
+      // commit in TryFastLlcHit, which is equivalent: the discount never
+      // applies to hits, and the stream table and the LLC are disjoint,
+      // so updating after the commit leaves the same final state as the
+      // slow path's update-before-access order.
+      bool streamed = false;
+      for (size_t s = 0; s < kMissStreams; ++s) {
+        if (miss_streams_[s] + ls == op.addr) {
+          miss_streams_[s] = op.addr;
+          streamed = true;
+          break;
+        }
+      }
+      if (!streamed) {
+        miss_streams_[next_stream_] = op.addr;
+        next_stream_ = (next_stream_ + 1) % kMissStreams;
+      }
+      if (lr == Machine::FastLlc::kMiss) {
+        deep_prefetch_score_ =
+            deep_prefetch_score_ > 56 ? 64 : deep_prefetch_score_ + 8;
+        // Warm the L1 victim's LLC set before the device leg (see the
+        // store leg) — the fill insert below will evict it and probe
+        // its LLC set in L1VictimWriteback.
+        if (const CacheLineMeta* pv = l1_.PeekVictimMeta(op.addr)) {
+          machine_->PrefetchHeadersForAccess(pv->line_addr);
+        }
+        // Analytical LLC-miss commit (the exact LlcAccess miss
+        // sequence, including the victim back-invalidation that may
+        // remove an unrelated line from this L1 — before the fill
+        // insert below, as on the slow path).
+        t = machine_->FastLlcMiss(id_, op.addr, Machine::AccessMode::kRead,
+                                  now, streamed);
+      }
+      cycles_load_miss += t - now;
+      now = t;
+      // FillL1(line, exclusive=false, dirty=false): the line is absent
+      // (the probe above just missed, and the only L1 mutation since —
+      // a miss leg's victim back-invalidation — only removes lines), so
+      // the slow path's present-check Touch would be a mutation-free
+      // miss — skip straight to the insert.
+      CacheLineMeta* fill = nullptr;
+      SetAssocCache::Victim victim =
+          l1_.Insert(op.addr, /*dirty=*/false, &fill);
+      fill->exclusive = false;
+      if (victim.valid) {
+        machine_->L1VictimWriteback(id_, victim.line_addr, victim.dirty,
+                                    now);
+      }
+      ++loads;
     }
   }
   // Replay the deferred eviction-writeback admission notes before anything
@@ -616,6 +591,7 @@ void Core::TimedAccess(SimAddr addr, size_t size, bool is_store) {
 // ---- Data operations ----
 
 uint64_t Core::LoadU64(SimAddr addr) {
+  CheckDeadline();
   uint64_t v;
   std::memcpy(&v, machine_->HostPtr(addr), 8);
   TimedAccess(addr, 8, /*is_store=*/false);
@@ -623,6 +599,7 @@ uint64_t Core::LoadU64(SimAddr addr) {
 }
 
 uint32_t Core::LoadU32(SimAddr addr) {
+  CheckDeadline();
   uint32_t v;
   std::memcpy(&v, machine_->HostPtr(addr), 4);
   TimedAccess(addr, 4, /*is_store=*/false);
@@ -630,16 +607,19 @@ uint32_t Core::LoadU32(SimAddr addr) {
 }
 
 void Core::StoreU64(SimAddr addr, uint64_t value) {
+  CheckDeadline();
   std::memcpy(machine_->HostPtr(addr), &value, 8);
   TimedAccess(addr, 8, /*is_store=*/true);
 }
 
 void Core::StoreU32(SimAddr addr, uint32_t value) {
+  CheckDeadline();
   std::memcpy(machine_->HostPtr(addr), &value, 4);
   TimedAccess(addr, 4, /*is_store=*/true);
 }
 
 double Core::LoadF64(SimAddr addr) {
+  CheckDeadline();
   double v;
   std::memcpy(&v, machine_->HostPtr(addr), 8);
   TimedAccess(addr, 8, /*is_store=*/false);
@@ -647,50 +627,53 @@ double Core::LoadF64(SimAddr addr) {
 }
 
 void Core::StoreF64(SimAddr addr, double value) {
+  CheckDeadline();
   std::memcpy(machine_->HostPtr(addr), &value, 8);
   TimedAccess(addr, 8, /*is_store=*/true);
 }
 
 void Core::MemCopyToSim(SimAddr dst, const void* src, size_t size) {
+  CheckDeadline();
   std::memcpy(machine_->HostPtr(dst), src, size);
   TimedAccess(dst, size, /*is_store=*/true);
 }
 
 void Core::MemCopyFromSim(void* dst, SimAddr src, size_t size) {
+  CheckDeadline();
   std::memcpy(dst, machine_->HostPtr(src), size);
   TimedAccess(src, size, /*is_store=*/false);
 }
 
 void Core::MemCopySimToSim(SimAddr dst, SimAddr src, size_t size) {
+  CheckDeadline();
   std::memmove(machine_->HostPtr(dst), machine_->HostPtr(src), size);
   TimedAccess(src, size, /*is_store=*/false);
   TimedAccess(dst, size, /*is_store=*/true);
 }
 
 void Core::MemSet(SimAddr dst, uint8_t byte, size_t size) {
+  CheckDeadline();
   std::memset(machine_->HostPtr(dst), byte, size);
   TimedAccess(dst, size, /*is_store=*/true);
 }
 
 // ---- Ordering ----
 
-void Core::PublishClock() {
-  published_now_.store(now_, std::memory_order_relaxed);
-}
+void Core::EndSlice() { YieldAtDeadline(*this); }
 
 void Core::SpinPause(uint64_t cycles) {
+  CheckDeadline();
   ++icount_;
-  const uint64_t target = machine_->ApproxGlobalTime();
+  const uint64_t target = machine_->GlobalTime();
   if (now_ < target) {
     now_ = std::min(now_ + cycles, target);
   } else {
-    std::this_thread::yield();
+    WaitForPeers();
   }
-  PublishClock();
 }
 
 void Core::Fence() {
-  PublishClock();
+  CheckDeadline();
   ++stats_.fences;
   ++icount_;
   if (HasHooks()) {
@@ -708,7 +691,7 @@ void Core::Fence() {
 }
 
 bool Core::CasU64(SimAddr addr, uint64_t& expected, uint64_t desired) {
-  PublishClock();
+  CheckDeadline();
   ++stats_.atomics;
   ++icount_;
   // Atomics carry fence semantics (§4.2): all private stores publish first,
@@ -726,13 +709,19 @@ bool Core::CasU64(SimAddr addr, uint64_t& expected, uint64_t desired) {
   const uint64_t line = machine_->LineBaseOf(addr);
   now_ = machine_->PublishLine(id_, line, now_) + config_.atomic_latency;
   Emit(TraceKind::kAtomic, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  return std::atomic_ref<uint64_t>(*p).compare_exchange_strong(
-      expected, desired, std::memory_order_acq_rel);
+  uint8_t* p = machine_->HostPtr(addr);
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  if (v != expected) {
+    expected = v;
+    return false;
+  }
+  std::memcpy(p, &desired, 8);
+  return true;
 }
 
 uint64_t Core::FetchAddU64(SimAddr addr, uint64_t delta) {
-  PublishClock();
+  CheckDeadline();
   ++stats_.atomics;
   ++icount_;
   if (HasHooks()) {
@@ -747,24 +736,28 @@ uint64_t Core::FetchAddU64(SimAddr addr, uint64_t delta) {
   const uint64_t line = machine_->LineBaseOf(addr);
   now_ = machine_->PublishLine(id_, line, now_) + config_.atomic_latency;
   Emit(TraceKind::kAtomic, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  return std::atomic_ref<uint64_t>(*p).fetch_add(delta,
-                                                 std::memory_order_acq_rel);
+  uint8_t* p = machine_->HostPtr(addr);
+  uint64_t old;
+  std::memcpy(&old, p, 8);
+  const uint64_t sum = old + delta;
+  std::memcpy(p, &sum, 8);
+  return old;
 }
 
 uint64_t Core::AtomicLoadU64(SimAddr addr) {
-  PublishClock();
+  CheckDeadline();
   const uint64_t line = machine_->LineBaseOf(addr);
   LineLoad(line);
   ++stats_.loads;
   ++icount_;
   Emit(TraceKind::kLoad, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  return std::atomic_ref<uint64_t>(*p).load(std::memory_order_acquire);
+  uint64_t v;
+  std::memcpy(&v, machine_->HostPtr(addr), 8);
+  return v;
 }
 
 void Core::AtomicStoreU64(SimAddr addr, uint64_t value) {
-  PublishClock();
+  CheckDeadline();
   ++stats_.atomics;
   ++icount_;
   // Release: prior stores must be visible first.
@@ -773,13 +766,13 @@ void Core::AtomicStoreU64(SimAddr addr, uint64_t value) {
   const uint64_t line = machine_->LineBaseOf(addr);
   now_ = machine_->PublishLine(id_, line, now_) + config_.atomic_latency;
   Emit(TraceKind::kAtomic, addr, 8);
-  auto* p = reinterpret_cast<uint64_t*>(machine_->HostPtr(addr));
-  std::atomic_ref<uint64_t>(*p).store(value, std::memory_order_release);
+  std::memcpy(machine_->HostPtr(addr), &value, 8);
 }
 
 // ---- Pre-stores ----
 
 void Core::Prestore(SimAddr addr, size_t size, PrestoreOp op) {
+  CheckDeadline();
   if (size == 0) {
     return;
   }
@@ -814,14 +807,9 @@ void Core::Prestore(SimAddr addr, size_t size, PrestoreOp op) {
           SbRemove(line);
           PushBg(machine_->PublishLineDemote(id_, line, now_));
         } else {
-          bool in_l1 = false;
-          {
-            // Residency check only — Peek so a useless demote hint can't
-            // perturb the set's way hint.
-            OptionalLockGuard lock(l1_mu_, LockFree());
-            in_l1 = l1_.Peek(line) != nullptr;
-          }
-          if (in_l1) {
+          // Residency check only — Peek so a useless demote hint can't
+          // perturb the set's way hint.
+          if (l1_.Peek(line) != nullptr) {
             PushBg(machine_->PublishLineDemote(id_, line, now_));
           } else {
             // Not in a private buffer and not in L1: nothing to demote.
@@ -866,6 +854,7 @@ void Core::Prestore(SimAddr addr, size_t size, PrestoreOp op) {
 }
 
 void Core::StoreNt(SimAddr dst, const void* src, size_t size) {
+  CheckDeadline();
   std::memcpy(machine_->HostPtr(dst), src, size);
   nt_used_ = true;
   const uint64_t ls = config_.line_size;

@@ -3,16 +3,15 @@
 // Functional-first, timing-directed simulation: data moves to/from backing
 // host memory immediately; the cache/store-buffer state machines track where
 // each line *would* be and charge cycles accordingly. Per-core local clocks
-// plus reservation-based shared devices let real std::threads drive multiple
-// cores concurrently.
+// plus reservation-based shared devices let several cores share one machine;
+// the baton runner (baton.h) interleaves their bodies deterministically, one
+// at a time.
 #ifndef SRC_SIM_CORE_H_
 #define SRC_SIM_CORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,20 +89,22 @@ class Core {
 
   // Plain ALU work: n instructions, n cycles.
   void Execute(uint64_t n) {
+    CheckDeadline();
     icount_ += n;
     now_ += n;
   }
 
   // Spin-wait pause. A spinning core must not race ahead of the cores doing
   // real work (its local clock would poison shared-device reservations), so
-  // the pause advances the local clock only up to the fastest *published*
-  // core time; a core already ahead yields the host thread instead.
+  // the pause advances the local clock only up to the machine's fastest
+  // core; a core already ahead waits for its peers instead (WaitForPeers:
+  // its body passes the baton).
   void SpinPause(uint64_t cycles = 30);
 
-  // Lock-free snapshot of this core's clock for cross-thread readers.
-  uint64_t PublishedNow() const {
-    return published_now_.load(std::memory_order_relaxed);
-  }
+  // The round deadline of the baton-runner slice this core's body is in
+  // (UINT64_MAX outside a runner). Every op first checks it: an op that
+  // would start at or past the deadline first ends the slice (baton.h).
+  void SetSliceDeadline(uint64_t deadline) { slice_deadline_ = deadline; }
 
   // Tracks an eviction writeback this core's access triggered. The per-core
   // queue is bounded: when the device falls behind, the evicting access
@@ -189,8 +190,7 @@ class Core {
   //   - a store whose line is L1-resident in exclusive state with no
   //     in-flight write-combining entry for the line (cost: one issue
   //     cycle);
-  // and, in exclusive execution only (Machine::SetExclusiveExecution) with
-  // empty write-combining and store-buffer queues:
+  // and, with an empty store buffer:
   //   - a load whose line is a trivial LLC hit (no foreign owner —
   //     Machine::TryFastLlcHit), charged hit latency + fill + L1 victim
   //     writeback;
@@ -212,7 +212,7 @@ class Core {
   // sliced scheduler's slow path applies per op. Because every consumed op
   // charges exactly the slow-path cycles, a sliced replay covers the same
   // (round, core, op) schedule whether fast-forward is on or off, so the
-  // two produce bit-identical end states (sim_stats_equiv_test pins this).
+  // two produce bit-identical end states (sim_determinism_test pins this).
   size_t FastForwardOps(const ReplayOp* ops, size_t n,
                         uint64_t deadline = ~uint64_t{0});
 
@@ -238,20 +238,14 @@ class Core {
   uint32_t CurrentChain() const { return cur_chain_; }
 
   void ResetStats() { stats_ = CoreStats{}; }
-  void SetNow(uint64_t t) {
-    now_ = t;
-    published_now_.store(t, std::memory_order_relaxed);
-  }
+  void SetNow(uint64_t t) { now_ = t; }
 
   // Internal: used by Machine for cross-core coherence actions.
   SetAssocCache& l1() { return l1_; }
-  std::mutex& l1_mu() { return l1_mu_; }
 
   // Re-reads the machine's trace-sink and pre-store-hook registrations into
   // the core-local fast-path fields below. Machine calls this whenever a
-  // sink or hook is (un)installed. The cached fields are atomics, so a
-  // mid-run SetTraceSink is safe; hook (un)installation still requires
-  // quiesced cores (the hook vector itself is unsynchronized — hooks.h).
+  // sink or hook is (un)installed.
   void RefreshFastPathFlags();
 
  private:
@@ -282,55 +276,47 @@ class Core {
   // pitfall cost. Returns true when an in-flight writeback was found.
   bool WaitPendingWriteback(uint64_t line_addr);
 
-  // L1 fill with victim handling. Caller must NOT hold any lock.
+  // L1 fill with victim handling.
   void FillL1(uint64_t line_addr, bool exclusive, bool dirty);
 
   // Per-op trace emission. The unhooked case must cost one predicted
   // branch, so the sink pointer is cached core-locally (refreshed by
   // RefreshFastPathFlags) instead of being chased through the machine on
-  // every memory operation. The cache is an atomic so SetTraceSink stays
-  // safe against running cores; the uncontended acquire load compiles to a
-  // plain load on x86/ARM.
+  // every memory operation.
   void Emit(TraceKind kind, SimAddr addr, uint32_t size) {
-    TraceSink* sink = sink_fast_.load(std::memory_order_acquire);
-    if (sink == nullptr) {
+    if (sink_fast_ == nullptr) {
       return;
     }
-    sink->Record(TraceRecord{kind, id_, size, addr, icount_,
-                             CurrentFunc(), cur_chain_});
+    sink_fast_->Record(TraceRecord{kind, id_, size, addr, icount_,
+                                   CurrentFunc(), cur_chain_});
   }
-  void PublishClock();
+
+  void CheckDeadline() {
+    if (now_ >= slice_deadline_) [[unlikely]] {
+      EndSlice();
+    }
+  }
+  void EndSlice();
 
   Machine* machine_;
   uint8_t id_;
   const MachineConfig& config_;
 
-  // Cached fast-path state (see RefreshFastPathFlags). Atomics because
-  // RefreshCoreFastPaths may run (e.g. from a mid-run SetTraceSink) while
-  // this core's host thread is between ops; relaxed/acquire loads keep the
-  // per-op cost at a plain load. Hook semantics are unchanged: the hook
-  // VECTOR is still only mutated with cores quiesced (hooks.h contract) —
-  // the atomic only de-races the cached flag itself.
-  std::atomic<TraceSink*> sink_fast_{nullptr};
-  std::atomic<bool> has_hooks_{false};
-  bool HasHooks() const { return has_hooks_.load(std::memory_order_relaxed); }
-  // Exclusive-execution mirror (Machine::SetExclusiveExecution): when set,
-  // exactly one host thread drives the whole machine at a time, so the
-  // engine's serialization mutexes are elided (optlock.h). Atomic for the
-  // same reason as the fields above; per-op cost is one relaxed load.
-  std::atomic<bool> lock_free_{false};
-  bool LockFree() const { return lock_free_.load(std::memory_order_relaxed); }
+  // Cached fast-path state (see RefreshFastPathFlags).
+  TraceSink* sink_fast_ = nullptr;
+  bool has_hooks_ = false;
+  bool HasHooks() const { return has_hooks_; }
   // Analytical fast-forward enable (Machine::SetAnalyticalFastForward);
-  // off = every op walks the full timing path (the stats-equivalence tests
-  // compare the two).
-  std::atomic<bool> fast_forward_{true};
+  // off = every op walks the full timing path (the fast-forward
+  // equivalence tests compare the two).
+  bool fast_forward_ = true;
 
   // Sampled-access observation (Machine::SetAccessSampleHook). The period
   // is cached core-locally so the unobserved per-line cost is one plain
   // load + predicted branch (period == 0); the countdown survives refreshes
   // that do not change the installation, so unrelated SetTraceSink calls
   // cannot perturb the deterministic sample schedule.
-  std::atomic<AccessSampleHook*> sampler_fast_{nullptr};
+  AccessSampleHook* sampler_fast_ = nullptr;
   uint32_t sample_period_ = 0;
   uint32_t sample_countdown_ = 0;
   void MaybeSampleAccess(uint64_t line_addr, bool is_store) {
@@ -338,20 +324,16 @@ class Core {
       return;
     }
     sample_countdown_ = sample_period_;
-    AccessSampleHook* sampler =
-        sampler_fast_.load(std::memory_order_acquire);
-    if (sampler != nullptr) {
-      sampler->OnSampledAccess(id_, line_addr, is_store, now_);
+    if (sampler_fast_ != nullptr) {
+      sampler_fast_->OnSampledAccess(id_, line_addr, is_store, now_);
     }
   }
 
   uint64_t now_ = 0;
   uint64_t icount_ = 0;
-  // Periodically refreshed copy of now_, readable from other threads.
-  std::atomic<uint64_t> published_now_{0};
+  uint64_t slice_deadline_ = UINT64_MAX;
 
   SetAssocCache l1_;
-  std::mutex l1_mu_;
 
   std::deque<uint64_t> sb_;  // private store buffer: line addresses, FIFO
   std::deque<uint64_t> bg_;  // completion times of async publications

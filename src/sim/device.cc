@@ -7,11 +7,8 @@ namespace prestore {
 uint64_t DramDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
   (void)addr;
   const uint64_t start = ReserveBandwidth(bytes, now, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.reads;
-    stats_.bytes_read += bytes;
-  }
+  ++stats_.reads;
+  stats_.bytes_read += bytes;
   return start + config_.read_latency +
          static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
          FaultLatency(/*is_write=*/false, now);
@@ -20,12 +17,9 @@ uint64_t DramDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
 uint64_t DramDevice::Write(uint64_t addr, uint32_t bytes, uint64_t now) {
   (void)addr;
   const uint64_t start = ReserveBandwidth(bytes, now, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.writes;
-    stats_.bytes_received += bytes;
-    stats_.media_bytes_written += bytes;
-  }
+  ++stats_.writes;
+  stats_.bytes_received += bytes;
+  stats_.media_bytes_written += bytes;
   return start + config_.write_latency +
          static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
          FaultLatency(/*is_write=*/true, now);
@@ -46,7 +40,6 @@ void DramDevice::WriteTrain(const uint64_t* addrs, size_t n, uint32_t bytes,
   // every WriteTrain caller.
   interface_.ReserveRun(TransferCost(bytes, now, config_.cycles_per_byte), n,
                         now);
-  OptionalLockGuard lock(stats_mu_, LockFree());
   stats_.writes += n;
   stats_.bytes_received += static_cast<uint64_t>(n) * bytes;
   stats_.media_bytes_written += static_cast<uint64_t>(n) * bytes;
@@ -114,86 +107,83 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
     const uint32_t stolen = hook->StolenBufferBlocks(now);
     capacity = stolen >= capacity ? 1 : capacity - stolen;
   }
-  {
-    OptionalLockGuard lock(dimm.mu, LockFree());
-    std::vector<BufferedBlock>& slots = dimm.slots;
-    // Hinted hit: back-to-back accesses to one internal block — the
-    // coalescing pattern sequentialized writebacks are shaped for —
-    // resolve on a single compare.
-    BufferedBlock& hinted = slots[dimm.last_hit];
-    if (hinted.valid && hinted.block == block) {
-      hinted.stamp = ++dimm.stamp_counter;
-      hinted.dirty = hinted.dirty || dirty;
-      if (dirty) {
-        hinted.written_mask |= line_bit;
-      }
-      return 0;  // coalesced: served from the buffer, no media work
+  std::vector<BufferedBlock>& slots = dimm.slots;
+  // Hinted hit: back-to-back accesses to one internal block — the
+  // coalescing pattern sequentialized writebacks are shaped for —
+  // resolve on a single compare.
+  BufferedBlock& hinted = slots[dimm.last_hit];
+  if (hinted.valid && hinted.block == block) {
+    hinted.stamp = ++dimm.stamp_counter;
+    hinted.dirty = hinted.dirty || dirty;
+    if (dirty) {
+      hinted.written_mask |= line_bit;
     }
-    if (uint32_t* ip = IndexFind(dimm, block)) {
-      const uint32_t s = *ip;
-      BufferedBlock& hit = slots[s];
-      hit.stamp = ++dimm.stamp_counter;
-      hit.dirty = hit.dirty || dirty;
-      if (dirty) {
-        hit.written_mask |= line_bit;
-      }
-      dimm.last_hit = s;
-      return 0;  // coalesced: served from the buffer, no media work
+    return 0;  // coalesced: served from the buffer, no media work
+  }
+  if (uint32_t* ip = IndexFind(dimm, block)) {
+    const uint32_t s = *ip;
+    BufferedBlock& hit = slots[s];
+    hit.stamp = ++dimm.stamp_counter;
+    hit.dirty = hit.dirty || dirty;
+    if (dirty) {
+      hit.written_mask |= line_bit;
     }
-    // Miss: evict least-recently-stamped blocks down to a free slot. The
-    // minimum stamp is exactly the block a recency-ordered array would
-    // evict from its back, so the flush order — and with it the §4.1
-    // media-byte accounting — is bit-identical to the reference scan.
-    // Every eviction leaves a known-free slot, so the steady-state path
-    // (full buffer, one eviction per insert) never rescans for one;
-    // scanning is only needed when the buffer has never been full. Which
-    // slot INDEX receives the block is simulation-neutral — recency lives
-    // in the stamps and lookup in the index, so any free slot yields the
-    // same timing, stats, and digests.
-    uint32_t free_slot = UINT32_MAX;
-    while (dimm.valid_count >= capacity) {
-      uint32_t vi = 0;
-      uint64_t oldest = UINT64_MAX;
-      for (uint32_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].valid && slots[i].stamp < oldest) {
-          oldest = slots[i].stamp;
-          vi = i;
-        }
-      }
-      BufferedBlock& victim = slots[vi];
-      if (victim.dirty) {
-        // Dirty-block flush: the §4.1 write amplification. A partially
-        // written block additionally pays the read-modify-write fetch.
-        media_work += block_write_cost_;
-        if ((victim.written_mask & full_mask_) != full_mask_) {
-          media_work += block_read_cost_;
-        }
-        *media_bytes_flushed += config_.internal_block_size;
-      }
-      IndexErase(dimm, victim.block);
-      victim.valid = false;
-      --dimm.valid_count;
-      free_slot = vi;
-    }
-    if (free_slot == UINT32_MAX) {
-      for (uint32_t i = 0; i < slots.size(); ++i) {
-        if (!slots[i].valid) {
-          free_slot = i;
-          break;
-        }
+    dimm.last_hit = s;
+    return 0;  // coalesced: served from the buffer, no media work
+  }
+  // Miss: evict least-recently-stamped blocks down to a free slot. The
+  // minimum stamp is exactly the block a recency-ordered array would
+  // evict from its back, so the flush order — and with it the §4.1
+  // media-byte accounting — is bit-identical to the reference scan.
+  // Every eviction leaves a known-free slot, so the steady-state path
+  // (full buffer, one eviction per insert) never rescans for one;
+  // scanning is only needed when the buffer has never been full. Which
+  // slot INDEX receives the block is simulation-neutral — recency lives
+  // in the stamps and lookup in the index, so any free slot yields the
+  // same timing, stats, and digests.
+  uint32_t free_slot = UINT32_MAX;
+  while (dimm.valid_count >= capacity) {
+    uint32_t vi = 0;
+    uint64_t oldest = UINT64_MAX;
+    for (uint32_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].valid && slots[i].stamp < oldest) {
+        oldest = slots[i].stamp;
+        vi = i;
       }
     }
-    slots[free_slot] =
-        BufferedBlock{block, ++dimm.stamp_counter, /*valid=*/true, dirty,
-                      dirty ? line_bit : static_cast<uint8_t>(0)};
-    ++dimm.valid_count;
-    IndexInsert(dimm, block, free_slot);
-    dimm.last_hit = free_slot;
-    if (!dirty) {
-      // A read miss must fetch the block to serve the data (the
-      // read-amplification side; media reads are cheaper than writes).
-      media_work += block_read_cost_;
+    BufferedBlock& victim = slots[vi];
+    if (victim.dirty) {
+      // Dirty-block flush: the §4.1 write amplification. A partially
+      // written block additionally pays the read-modify-write fetch.
+      media_work += block_write_cost_;
+      if ((victim.written_mask & full_mask_) != full_mask_) {
+        media_work += block_read_cost_;
+      }
+      *media_bytes_flushed += config_.internal_block_size;
     }
+    IndexErase(dimm, victim.block);
+    victim.valid = false;
+    --dimm.valid_count;
+    free_slot = vi;
+  }
+  if (free_slot == UINT32_MAX) {
+    for (uint32_t i = 0; i < slots.size(); ++i) {
+      if (!slots[i].valid) {
+        free_slot = i;
+        break;
+      }
+    }
+  }
+  slots[free_slot] =
+      BufferedBlock{block, ++dimm.stamp_counter, /*valid=*/true, dirty,
+                    dirty ? line_bit : static_cast<uint8_t>(0)};
+  ++dimm.valid_count;
+  IndexInsert(dimm, block, free_slot);
+  dimm.last_hit = free_slot;
+  if (!dirty) {
+    // A read miss must fetch the block to serve the data (the
+    // read-amplification side; media reads are cheaper than writes).
+    media_work += block_read_cost_;
   }
   if (media_work == 0) {
     return 0;  // buffered: no media work, no queueing
@@ -203,13 +193,7 @@ uint64_t PmemDevice::TouchBlock(uint64_t addr, bool dirty, uint64_t now,
         static_cast<double>(media_work) *
         std::max(1.0, hook->BandwidthCostMultiplier(now)));
   }
-  // Apply any deferred observation floor before the reserve reads the
-  // reference, then refresh the device-level work high-water mark the
-  // InternalBacklogAt fast path tests against.
-  dimm.media.ObserveFloor(observed_floor_.load(std::memory_order_relaxed));
-  const uint64_t delay = dimm.media.Reserve(media_work, now, LockFree());
-  RecordMediaPeak(dimm.media.WorkMark());
-  return delay;
+  return dimm.media.Reserve(media_work, now);
 }
 
 uint64_t PmemDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
@@ -217,12 +201,9 @@ uint64_t PmemDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
   const uint64_t delay = TouchBlock(addr, /*dirty=*/false, now, &flushed);
   const uint64_t start =
       ReserveBandwidth(bytes, now + delay, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.reads;
-    stats_.bytes_read += bytes;
-    stats_.media_bytes_written += flushed;
-  }
+  ++stats_.reads;
+  stats_.bytes_read += bytes;
+  stats_.media_bytes_written += flushed;
   return start + config_.read_latency +
          static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
          FaultLatency(/*is_write=*/false, now);
@@ -233,12 +214,9 @@ uint64_t PmemDevice::Write(uint64_t addr, uint32_t bytes, uint64_t now) {
   const uint64_t delay = TouchBlock(addr, /*dirty=*/true, now, &flushed);
   const uint64_t start =
       ReserveBandwidth(bytes, now + delay, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.writes;
-    stats_.bytes_received += bytes;
-    stats_.media_bytes_written += flushed;
-  }
+  ++stats_.writes;
+  stats_.bytes_received += bytes;
+  stats_.media_bytes_written += flushed;
   return start + config_.write_latency +
          static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
          FaultLatency(/*is_write=*/true, now);
@@ -281,16 +259,13 @@ void PmemDevice::WriteTrain(const uint64_t* addrs, size_t n, uint32_t bytes,
     run_len = 1;
   }
   interface_.ReserveRun(cost, run_len, run_at);
-  OptionalLockGuard lock(stats_mu_, LockFree());
   stats_.writes += n;
   stats_.bytes_received += static_cast<uint64_t>(n) * bytes;
   stats_.media_bytes_written += flushed;
 }
 
 void PmemDevice::Drain() {
-  std::lock_guard<std::mutex> slock(stats_mu_);
   for (Dimm& dimm : dimms_) {
-    std::lock_guard<std::mutex> lock(dimm.mu);
     for (BufferedBlock& entry : dimm.slots) {
       if (entry.valid && entry.dirty) {
         stats_.media_bytes_written += config_.internal_block_size;
@@ -306,11 +281,8 @@ void PmemDevice::Drain() {
 uint64_t FarMemoryDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
   (void)addr;
   const uint64_t start = ReserveBandwidth(bytes, now, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.reads;
-    stats_.bytes_read += bytes;
-  }
+  ++stats_.reads;
+  stats_.bytes_read += bytes;
   return start + config_.read_latency +
          static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
          FaultLatency(/*is_write=*/false, now);
@@ -319,12 +291,9 @@ uint64_t FarMemoryDevice::Read(uint64_t addr, uint32_t bytes, uint64_t now) {
 uint64_t FarMemoryDevice::Write(uint64_t addr, uint32_t bytes, uint64_t now) {
   (void)addr;
   const uint64_t start = ReserveBandwidth(bytes, now, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.writes;
-    stats_.bytes_received += bytes;
-    stats_.media_bytes_written += bytes;
-  }
+  ++stats_.writes;
+  stats_.bytes_received += bytes;
+  stats_.media_bytes_written += bytes;
   return start + config_.write_latency +
          static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
          FaultLatency(/*is_write=*/true, now);
@@ -341,7 +310,6 @@ void FarMemoryDevice::WriteTrain(const uint64_t* addrs, size_t n,
   }
   interface_.ReserveRun(TransferCost(bytes, now, config_.cycles_per_byte), n,
                         now);
-  OptionalLockGuard lock(stats_mu_, LockFree());
   stats_.writes += n;
   stats_.bytes_received += static_cast<uint64_t>(n) * bytes;
   stats_.media_bytes_written += static_cast<uint64_t>(n) * bytes;
@@ -351,10 +319,7 @@ uint64_t FarMemoryDevice::DirectoryAccess(uint64_t now) {
   // The line-state directory lives on the device (§4.2): a state change costs
   // a device round trip plus a small transfer.
   const uint64_t start = ReserveBandwidth(8, now, config_.cycles_per_byte);
-  {
-    OptionalLockGuard lock(stats_mu_, LockFree());
-    ++stats_.directory_accesses;
-  }
+  ++stats_.directory_accesses;
   uint64_t extra = 0;
   if (DeviceFaultHook* hook = fault_hook()) {
     // Directory-timeout faults: the device-resident directory stops

@@ -1,19 +1,17 @@
-// Parallel-execution harness: runs a workload body on N simulated cores
-// (driven by N host threads) and reports simulated elapsed cycles.
+// Parallel-execution harness: runs a workload body on N simulated cores and
+// reports simulated elapsed cycles. The bodies run under the deterministic
+// baton runner (baton.h): one coroutine per body, one body at a time, in
+// (round, core) order — so a run's result is a pure function of its inputs.
 #ifndef SRC_SIM_HARNESS_H_
 #define SRC_SIM_HARNESS_H_
 
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
+#include "src/sim/baton.h"
 #include "src/sim/machine.h"
 
 namespace prestore {
@@ -37,22 +35,6 @@ inline uint64_t DefaultWatchdogMs() {
   return ms;
 }
 
-[[noreturn]] inline void WatchdogAbort(Machine& machine, uint32_t nthreads,
-                                       const std::vector<bool>& finished,
-                                       uint64_t watchdog_ms) {
-  std::fprintf(stderr,
-               "RunParallel watchdog: run exceeded %llu ms; aborting.\n"
-               "Per-core diagnostics (published simulated clocks):\n",
-               static_cast<unsigned long long>(watchdog_ms));
-  for (uint32_t i = 0; i < nthreads; ++i) {
-    std::fprintf(stderr, "  core %2u: now=%llu  %s\n", i,
-                 static_cast<unsigned long long>(
-                     machine.core(i).PublishedNow()),
-                 finished[i] ? "finished" : "STILL RUNNING");
-  }
-  std::abort();
-}
-
 }  // namespace harness_internal
 
 // Aligns all core clocks, runs fn(core, thread_index) on cores [0, nthreads),
@@ -60,8 +42,8 @@ inline uint64_t DefaultWatchdogMs() {
 // notion of parallel runtime).
 //
 // An exception thrown by `fn` on any worker is captured (first one wins),
-// the remaining workers are joined, and the exception is rethrown on the
-// caller — it no longer calls std::terminate.
+// the remaining workers run to completion, and the exception is rethrown on
+// the caller — it does not call std::terminate.
 inline uint64_t RunParallel(Machine& machine, uint32_t nthreads,
                             const std::function<void(Core&, uint32_t)>& fn,
                             const RunParallelOptions& options = {}) {
@@ -72,46 +54,16 @@ inline uint64_t RunParallel(Machine& machine, uint32_t nthreads,
   if (nthreads <= 1 && watchdog_ms == 0) {
     fn(machine.core(0), 0);
   } else {
-    std::mutex mu;
-    std::condition_variable cv;
-    uint32_t done = 0;
-    std::vector<bool> finished(nthreads, false);
-    std::exception_ptr first_error;
-
-    std::vector<std::thread> threads;
-    threads.reserve(nthreads);
+    BatonOptions baton;
+    baton.watchdog_ms = watchdog_ms;
+    BatonRunner runner(start, baton);
     for (uint32_t i = 0; i < nthreads; ++i) {
-      threads.emplace_back([&, i] {
-        std::exception_ptr error;
-        try {
-          fn(machine.core(i), i);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (error != nullptr && first_error == nullptr) {
-          first_error = error;
-        }
-        finished[i] = true;
-        ++done;
-        cv.notify_all();
-      });
+      char label[16];
+      std::snprintf(label, sizeof(label), "core %2u", i);
+      runner.Add(label, machine.core(i),
+                 [&fn, &machine, i] { fn(machine.core(i), i); });
     }
-
-    if (watchdog_ms != 0) {
-      std::unique_lock<std::mutex> lock(mu);
-      if (!cv.wait_for(lock, std::chrono::milliseconds(watchdog_ms),
-                       [&] { return done == nthreads; })) {
-        harness_internal::WatchdogAbort(machine, nthreads, finished,
-                                        watchdog_ms);
-      }
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    if (first_error != nullptr) {
-      std::rethrow_exception(first_error);
-    }
+    runner.Run();
   }
   uint64_t end = start;
   for (uint32_t i = 0; i < nthreads; ++i) {

@@ -38,7 +38,7 @@ Machine::Machine(const MachineConfig& config)
   for (uint32_t ls = config_.llc.line_size; ls > 1; ls >>= 1) {
     ++llc_line_shift_;
   }
-  hstripes_ = std::make_unique<MachineStatStripe[]>(config_.num_cores);
+  hstats_.resize(config_.num_cores);
   cores_.reserve(config_.num_cores);
   for (uint32_t i = 0; i < config_.num_cores; ++i) {
     cores_.push_back(
@@ -58,23 +58,19 @@ SimAddr Machine::Alloc(uint64_t bytes, Region region, uint64_t align) {
   if (align == 0) {
     align = config_.line_size;
   }
-  auto& brk = region == Region::kTarget ? target_brk_ : dram_brk_;
+  uint64_t& brk = region == Region::kTarget ? target_brk_ : dram_brk_;
   const uint64_t limit = region == Region::kTarget ? target_backing_.size()
                                                    : dram_backing_.size();
-  uint64_t cur = brk.load(std::memory_order_relaxed);
-  uint64_t start = 0;
-  do {
-    start = (cur + align - 1) & ~(align - 1);
-    if (start + bytes > limit) {
-      std::fprintf(stderr, "simulated %s region exhausted (%llu + %llu > %llu)\n",
-                   region == Region::kTarget ? "target" : "dram",
-                   static_cast<unsigned long long>(start),
-                   static_cast<unsigned long long>(bytes),
-                   static_cast<unsigned long long>(limit));
-      std::abort();
-    }
-  } while (!brk.compare_exchange_weak(cur, start + bytes,
-                                      std::memory_order_relaxed));
+  const uint64_t start = (brk + align - 1) & ~(align - 1);
+  if (start + bytes > limit) {
+    std::fprintf(stderr, "simulated %s region exhausted (%llu + %llu > %llu)\n",
+                 region == Region::kTarget ? "target" : "dram",
+                 static_cast<unsigned long long>(start),
+                 static_cast<unsigned long long>(bytes),
+                 static_cast<unsigned long long>(limit));
+    std::abort();
+  }
+  brk = start + bytes;
   return (region == Region::kTarget ? kTargetBase : kDramBase) + start;
 }
 
@@ -82,14 +78,6 @@ uint64_t Machine::GlobalTime() const {
   uint64_t t = 0;
   for (const auto& c : cores_) {
     t = std::max(t, c->now());
-  }
-  return t;
-}
-
-uint64_t Machine::ApproxGlobalTime() const {
-  uint64_t t = 0;
-  for (const auto& c : cores_) {
-    t = std::max(t, c->PublishedNow());
   }
   return t;
 }
@@ -103,12 +91,7 @@ uint64_t Machine::AlignCores() {
 }
 
 void Machine::ResetStats() {
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    hstripes_[i].Reset();
-  }
-  if (shadow_hstats_ != nullptr) {
-    shadow_hstats_->Reset();
-  }
+  std::fill(hstats_.begin(), hstats_.end(), MachineStats{});
   dram_->ResetStats();
   target_->ResetStats();
   for (auto& c : cores_) {
@@ -117,25 +100,22 @@ void Machine::ResetStats() {
 }
 
 // Back-invalidates the victim's L1 sharers and accounts the eviction.
-// Returns true when a dirty writeback is owed (the device work itself runs
-// AFTER the caller drops the shard lock — see FinishEvictionWriteback — so
-// the shard critical section never spans a device-meter reservation).
-bool Machine::HandleLlcVictimLocked(uint8_t self,
-                                    const SetAssocCache::Victim& victim) {
+// Returns true when a dirty writeback is owed (the caller issues it through
+// FinishEvictionWriteback).
+bool Machine::HandleLlcVictim(uint8_t self,
+                              const SetAssocCache::Victim& victim) {
   if (!victim.valid) {
     return false;
   }
-  Bump(self, &MachineStatStripe::llc_evictions);
+  ++hstats_[self].llc_evictions;
   bool dirty = victim.dirty;
   uint64_t sharers = victim.sharers;
   while (sharers != 0) {
     const int s = __builtin_ctzll(sharers);
     sharers &= sharers - 1;
-    Core& c = *cores_[s];
-    OptionalLockGuard l1_lock(c.l1_mu(), exclusive_execution());
     CacheLineMeta was;
-    if (c.l1().Remove(victim.line_addr, &was)) {
-      Bump(self, &MachineStatStripe::back_invalidations);
+    if (cores_[s]->l1().Remove(victim.line_addr, &was)) {
+      ++hstats_[self].back_invalidations;
       if (was.dirty) {
         dirty = true;
       }
@@ -153,24 +133,22 @@ uint64_t Machine::FinishEvictionWriteback(uint8_t self, uint64_t line_addr,
       DeviceFor(line_addr).Write(line_addr, config_.line_size, now);
   const uint64_t proceed = cores_[self]->NoteEvictionWriteback(acceptance, now);
   if (proceed > now) {
-    Bump(self, &MachineStatStripe::wbq_stall_cycles, proceed - now);
+    hstats_[self].wbq_stall_cycles += proceed - now;
   }
   return proceed;
 }
 
-uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
-                               AccessMode mode, bool incoming_dirty,
-                               Device& dev, bool far, CacheLineMeta* meta,
-                               uint64_t t) {
-  Bump(self, &MachineStatStripe::llc_hits);
+uint64_t Machine::LlcHit(uint8_t self, uint64_t line_addr, AccessMode mode,
+                         bool incoming_dirty, Device& dev, bool far,
+                         CacheLineMeta* meta, uint64_t t) {
+  ++hstats_[self].llc_hits;
   t += config_.llc.hit_latency;
   const uint8_t prev_owner = meta->owner;
   if (prev_owner != kNoOwner && prev_owner != self) {
     // Another core's L1 holds the line Modified: intervene.
-    Bump(self, &MachineStatStripe::interventions);
+    ++hstats_[self].interventions;
     t += config_.snoop_latency;
     Core& owner = *cores_[prev_owner];
-    OptionalLockGuard l1_lock(owner.l1_mu(), exclusive_execution());
     CacheLineMeta* ol = owner.l1().Probe(line_addr);
     if (mode == AccessMode::kRead) {
       if (ol != nullptr) {
@@ -193,9 +171,7 @@ uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
       while (others != 0) {
         const int s = __builtin_ctzll(others);
         others &= others - 1;
-        Core& c = *cores_[s];
-        OptionalLockGuard l1_lock(c.l1_mu(), exclusive_execution());
-        c.l1().Remove(line_addr);
+        cores_[s]->l1().Remove(line_addr);
         meta->sharers &= ~(1ULL << s);
       }
     }
@@ -204,7 +180,7 @@ uint64_t Machine::LlcHitLocked(uint8_t self, uint64_t line_addr,
       t = dev.DirectoryAccess(t);
     }
   }
-  ApplyAccessModeLocked(meta, self, mode, incoming_dirty);
+  ApplyAccessMode(meta, self, mode, incoming_dirty);
   return t;
 }
 
@@ -215,60 +191,41 @@ uint64_t Machine::LlcAccess(uint8_t self, uint64_t line_addr, AccessMode mode,
   const bool far = dev.config().kind == DeviceKind::kFarMemory;
   uint64_t t = start;
 
-  LlcShard& shard = ShardFor(line_addr);
-  {
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    CacheLineMeta* meta = shard.cache->Touch(line_addr);
-    if (meta != nullptr) {
-      return LlcHitLocked(self, line_addr, mode, incoming_dirty, dev, far,
-                          meta, t);
-    }
+  SetAssocCache& llc = *ShardFor(line_addr).cache;
+  CacheLineMeta* meta = llc.Touch(line_addr);
+  if (meta != nullptr) {
+    return LlcHit(self, line_addr, mode, incoming_dirty, dev, far, meta, t);
   }
 
-  // Probable miss. The device work — (for writes to far memory) directory
-  // update, then the line read — runs with the shard UNLOCKED: it only
-  // touches the device's own synchronization, and keeping it out of the
-  // shard critical section keeps other cores' accesses to the shard's sets
-  // moving. On a single driving thread the instruction order is exactly the
-  // pre-split order, so sequential replays are bit-identical. Hit/miss
-  // accounting waits until the re-probe below settles which one this is.
+  // Miss: (for writes to far memory) directory update, then the line read.
+  // Hit/miss accounting waits until the re-probe below settles which one
+  // this is.
   if (mode != AccessMode::kRead && far) {
     t = dev.DirectoryAccess(t);
   }
   const uint64_t read_done = dev.Read(line_addr, config_.line_size, t);
   t = StreamDiscount(t, read_done, dev.config().read_latency, streamed);
 
-  bool wb_owed = false;
-  uint64_t victim_line = 0;
-  {
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    SetAssocCache& llc = *shard.cache;
-    // Re-probe: while the shard was unlocked another core may have filled
-    // the line (concurrent runs only — a failed Touch mutates nothing, so a
-    // sequential replay re-misses with untouched state). A refilled line may
-    // carry a new Modified owner or new sharers, so the access must run the
-    // full hit protocol, exactly as if the first probe had hit; it is
-    // counted as a hit. The speculative device read (and, for far writes,
-    // the directory access) already reserved its meter work and stays in
-    // `t` — a concurrent-mode-only latency/meter pessimism.
-    CacheLineMeta* meta = llc.Touch(line_addr);
-    if (meta != nullptr) {
-      return LlcHitLocked(self, line_addr, mode, incoming_dirty, dev, far,
-                          meta, t);
-    }
-    Bump(self, &MachineStatStripe::llc_misses);
-    if (mode != AccessMode::kRead && far) {
-      Bump(self, &MachineStatStripe::dir_upgrades);
-    }
-    SetAssocCache::Victim victim = llc.Insert(line_addr, false, &meta);
-    if (HandleLlcVictimLocked(self, victim)) {
-      wb_owed = true;
-      victim_line = victim.line_addr;
-    }
-    ApplyAccessModeLocked(meta, self, mode, incoming_dirty);
+  // Re-probe: a device fault hook runs inside the device read and may have
+  // filled the line (a failed Touch mutates nothing, so an ordinary miss
+  // re-misses with untouched state). A refilled line may carry a new
+  // Modified owner or new sharers, so the access must run the full hit
+  // protocol, exactly as if the first probe had hit; it is counted as a hit.
+  // The device read (and, for far writes, the directory access) already
+  // reserved its meter work and stays in `t`.
+  meta = llc.Touch(line_addr);
+  if (meta != nullptr) {
+    return LlcHit(self, line_addr, mode, incoming_dirty, dev, far, meta, t);
   }
+  ++hstats_[self].llc_misses;
+  if (mode != AccessMode::kRead && far) {
+    ++hstats_[self].dir_upgrades;
+  }
+  const SetAssocCache::Victim victim = llc.Insert(line_addr, false, &meta);
+  const bool wb_owed = HandleLlcVictim(self, victim);
+  ApplyAccessMode(meta, self, mode, incoming_dirty);
   if (wb_owed) {
-    t = std::max(t, FinishEvictionWriteback(self, victim_line, start));
+    t = std::max(t, FinishEvictionWriteback(self, victim.line_addr, start));
   }
   return t;
 }
@@ -276,13 +233,10 @@ uint64_t Machine::LlcAccess(uint8_t self, uint64_t line_addr, AccessMode mode,
 uint64_t Machine::PublishLine(uint8_t self, uint64_t line_addr,
                               uint64_t start) {
   Core& core = *cores_[self];
-  {
-    OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-    CacheLineMeta* meta = core.l1().Touch(line_addr);
-    if (meta != nullptr && meta->exclusive) {
-      meta->dirty = true;
-      return start + 1;
-    }
+  CacheLineMeta* meta = core.l1().Touch(line_addr);
+  if (meta != nullptr && meta->exclusive) {
+    meta->dirty = true;
+    return start + 1;
   }
   const uint64_t t = LlcAccess(self, line_addr, AccessMode::kWrite, start);
   core.FillL1(line_addr, /*exclusive=*/true, /*dirty=*/true);
@@ -291,48 +245,34 @@ uint64_t Machine::PublishLine(uint8_t self, uint64_t line_addr,
 
 uint64_t Machine::PublishLineDemote(uint8_t self, uint64_t line_addr,
                                     uint64_t start) {
-  Core& core = *cores_[self];
   bool dirty = true;  // demoted data from the store buffer is modified
-  {
-    OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-    CacheLineMeta was;
-    if (core.l1().Remove(line_addr, &was)) {
-      dirty = was.dirty;
-    }
+  CacheLineMeta was;
+  if (cores_[self]->l1().Remove(line_addr, &was)) {
+    dirty = was.dirty;
   }
   return LlcAccess(self, line_addr, AccessMode::kDemote, start,
                    /*streamed=*/false, /*incoming_dirty=*/dirty);
 }
 
 uint64_t Machine::CleanLine(uint8_t self, uint64_t line_addr, uint64_t start) {
-  Core& core = *cores_[self];
   bool dirty = false;
-  {
-    OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-    CacheLineMeta* meta = core.l1().Probe(line_addr);
-    if (meta != nullptr && meta->dirty) {
-      meta->dirty = false;
-      dirty = true;
-    }
+  CacheLineMeta* l1_meta = cores_[self]->l1().Probe(line_addr);
+  if (l1_meta != nullptr && l1_meta->dirty) {
+    l1_meta->dirty = false;
+    dirty = true;
   }
-  {
-    LlcShard& shard = ShardFor(line_addr);
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    CacheLineMeta* meta = shard.cache->Probe(line_addr);
-    if (meta != nullptr) {
-      if (meta->owner != kNoOwner && meta->owner != self) {
-        Core& owner = *cores_[meta->owner];
-        OptionalLockGuard l1_lock(owner.l1_mu(), exclusive_execution());
-        CacheLineMeta* ol = owner.l1().Probe(line_addr);
-        if (ol != nullptr && ol->dirty) {
-          ol->dirty = false;
-          dirty = true;
-        }
-      }
-      if (meta->dirty) {
-        meta->dirty = false;
+  CacheLineMeta* meta = ShardFor(line_addr).cache->Probe(line_addr);
+  if (meta != nullptr) {
+    if (meta->owner != kNoOwner && meta->owner != self) {
+      CacheLineMeta* ol = cores_[meta->owner]->l1().Probe(line_addr);
+      if (ol != nullptr && ol->dirty) {
+        ol->dirty = false;
         dirty = true;
       }
+    }
+    if (meta->dirty) {
+      meta->dirty = false;
+      dirty = true;
     }
   }
   if (!dirty) {
@@ -342,25 +282,18 @@ uint64_t Machine::CleanLine(uint8_t self, uint64_t line_addr, uint64_t start) {
 }
 
 void Machine::InvalidateLine(uint8_t self, uint64_t line_addr) {
-  {
-    LlcShard& shard = ShardFor(line_addr);
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-    CacheLineMeta* meta = shard.cache->Probe(line_addr);
-    if (meta != nullptr) {
-      uint64_t sharers = meta->sharers;
-      while (sharers != 0) {
-        const int s = __builtin_ctzll(sharers);
-        sharers &= sharers - 1;
-        Core& c = *cores_[s];
-        OptionalLockGuard l1_lock(c.l1_mu(), exclusive_execution());
-        c.l1().Remove(line_addr);
-      }
-      shard.cache->Remove(line_addr);
+  SetAssocCache& llc = *ShardFor(line_addr).cache;
+  CacheLineMeta* meta = llc.Probe(line_addr);
+  if (meta != nullptr) {
+    uint64_t sharers = meta->sharers;
+    while (sharers != 0) {
+      const int s = __builtin_ctzll(sharers);
+      sharers &= sharers - 1;
+      cores_[s]->l1().Remove(line_addr);
     }
+    llc.Remove(line_addr);
   }
-  Core& core = *cores_[self];
-  OptionalLockGuard l1_lock(core.l1_mu(), exclusive_execution());
-  core.l1().Remove(line_addr);
+  cores_[self]->l1().Remove(line_addr);
 }
 
 std::vector<uint64_t> Machine::LlcValidLines() const {
@@ -395,7 +328,6 @@ void Machine::FlushAll() {
     (line >= kTargetBase ? target_lines : dram_lines).push_back(line);
   };
   for (auto& c : cores_) {
-    OptionalLockGuard l1_lock(c->l1_mu(), exclusive_execution());
     for (uint64_t line : c->l1().ValidLines()) {
       CacheLineMeta* meta = c->l1().Probe(line);
       if (meta->dirty) {
@@ -406,7 +338,6 @@ void Machine::FlushAll() {
   }
   for (uint64_t g = 0; g < llc_global_sets_; ++g) {
     LlcShard& shard = llc_shards_[g & (kNumShards - 1)];
-    OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
     const uint64_t local = g / kNumShards;
     if (local >= shard.cache->num_sets()) {
       continue;

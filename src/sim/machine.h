@@ -3,11 +3,9 @@
 #define SRC_SIM_MACHINE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/sim/cache.h"
@@ -15,7 +13,6 @@
 #include "src/sim/core.h"
 #include "src/sim/device.h"
 #include "src/sim/hooks.h"
-#include "src/sim/optlock.h"
 #include "src/trace/trace.h"
 #include "src/util/hugepage.h"
 
@@ -29,8 +26,9 @@ enum class Region : uint8_t {
   kTarget,
 };
 
-// Aggregated shared-hierarchy event counters, as returned by
-// Machine::hierarchy_stats(): the on-demand sum of the per-core stripes.
+// Shared-hierarchy event counters. The machine keeps one set per core
+// (attributed to the core whose access caused the event);
+// Machine::hierarchy_stats() returns their sum.
 struct MachineStats {
   uint64_t llc_hits = 0;
   uint64_t llc_misses = 0;
@@ -41,30 +39,6 @@ struct MachineStats {
   uint64_t dir_upgrades = 0;        // far-memory dir round trips
 };
 
-// One core's private slice of the shared-hierarchy counters. Padded to a
-// cache line so neighbouring cores' bumps never share one. Each stripe is
-// written only by the owning core's host thread, so bumps are single-writer
-// relaxed load+store pairs — no RMW, no contention — while readers
-// (aggregation, mid-run diagnostics) stay race-free.
-struct alignas(64) MachineStatStripe {
-  std::atomic<uint64_t> llc_hits{0};
-  std::atomic<uint64_t> llc_misses{0};
-  std::atomic<uint64_t> llc_evictions{0};
-  std::atomic<uint64_t> back_invalidations{0};
-  std::atomic<uint64_t> interventions{0};
-  std::atomic<uint64_t> wbq_stall_cycles{0};
-  std::atomic<uint64_t> dir_upgrades{0};
-
-  void Reset() {
-    llc_hits.store(0, std::memory_order_relaxed);
-    llc_misses.store(0, std::memory_order_relaxed);
-    llc_evictions.store(0, std::memory_order_relaxed);
-    back_invalidations.store(0, std::memory_order_relaxed);
-    interventions.store(0, std::memory_order_relaxed);
-    wbq_stall_cycles.store(0, std::memory_order_relaxed);
-    dir_upgrades.store(0, std::memory_order_relaxed);
-  }
-};
 
 class Machine {
  public:
@@ -103,17 +77,14 @@ class Machine {
   // ---- Tracing & symbolization ----
 
   FunctionRegistry& registry() { return registry_; }
-  // Install/clear the trace sink. Safe mid-run: each core caches the
-  // pointer in a core-local atomic (refreshed here), so its per-op emit
-  // check is one uncontended acquire load — a plain load on x86/ARM —
-  // instead of a pointer chase through the machine.
+  // Install/clear the trace sink. Each core caches the pointer (refreshed
+  // here), so its per-op emit check is one plain load instead of a pointer
+  // chase through the machine.
   void SetTraceSink(TraceSink* sink) {
-    sink_.store(sink, std::memory_order_release);
+    sink_ = sink;
     RefreshCoreFastPaths();
   }
-  TraceSink* trace_sink() const {
-    return sink_.load(std::memory_order_acquire);
-  }
+  TraceSink* trace_sink() const { return sink_; }
 
   // ---- Robustness hooks (install before a measured run; not thread-safe
   // against running cores; hooks must outlive the run) ----
@@ -148,36 +119,22 @@ class Machine {
   }
   AccessSampleHook* access_sample_hook() const { return access_sampler_; }
 
-  // ---- Execution modes (DESIGN.md §12) ----
-
-  // Exclusive execution: the caller guarantees that AT MOST ONE host thread
-  // drives the machine (cores, coherence, devices) at any instant — either
-  // truly single-threaded (sequential replay, 1-worker runs) or serialized
-  // with proper handoff synchronization (the time-sliced scheduler). While
-  // set, every engine serialization mutex is elided (optlock.h); simulated
-  // results are unchanged (the mutexes never affected them). Toggle only
-  // while no cores are running.
-  void SetExclusiveExecution(bool on) {
-    exclusive_.store(on, std::memory_order_release);
-    dram_->SetLockFree(on);
-    target_->SetLockFree(on);
-    RefreshCoreFastPaths();
-  }
-  bool exclusive_execution() const {
-    return exclusive_.load(std::memory_order_relaxed);
-  }
+  // ---- Execution (DESIGN.md §12) ----
+  //
+  // At most one host thread drives the machine at any instant: a single
+  // caller, SimScheduler's slices, or the baton runner's bodies (baton.h),
+  // which hand over with release/acquire. The engine therefore keeps its
+  // state in plain fields with no locks.
 
   // Analytical fast-forward (Core::FastForwardOps) enable; default on.
   // Turning it off forces every replay op down the full timing path — the
   // fast-forward equivalence tests compare the two. Toggle only while no
   // cores are running.
   void SetAnalyticalFastForward(bool on) {
-    fast_forward_.store(on, std::memory_order_release);
+    fast_forward_ = on;
     RefreshCoreFastPaths();
   }
-  bool fast_forward_enabled() const {
-    return fast_forward_.load(std::memory_order_relaxed);
-  }
+  bool fast_forward_enabled() const { return fast_forward_; }
 
   // ---- Measurement helpers ----
 
@@ -185,9 +142,6 @@ class Machine {
   // measured phase) and returns that time.
   uint64_t AlignCores();
   uint64_t GlobalTime() const;
-  // Max over the cores' lock-free published clocks (used by SpinPause; may
-  // lag each core's true clock by up to one ordering operation).
-  uint64_t ApproxGlobalTime() const;
   void ResetStats();
 
   // Retires all queued device work (interface and media meters), modeling
@@ -203,7 +157,7 @@ class Machine {
   // device buffers, so that media-byte accounting covers all traffic.
   void FlushAll();
 
-  // ---- Coherence (called by Core; do not hold locks when calling) ----
+  // ---- Coherence (called by Core) ----
 
   enum class AccessMode : uint8_t { kRead, kWrite, kDemote };
 
@@ -237,29 +191,24 @@ class Machine {
   // which a miss-dominated stream makes nearly every op.
   void L1VictimWriteback(uint8_t self, uint64_t line_addr, bool dirty,
                          uint64_t now) {
-    {
-      LlcShard& shard = ShardFor(line_addr);
-      OptionalLockGuard shard_lock(shard.mu, exclusive_execution());
-      CacheLineMeta* meta = shard.cache->Probe(line_addr);
-      if (meta != nullptr) {
-        meta->sharers &= ~(1ULL << self);
-        if (meta->owner == self) {
-          meta->owner = kNoOwner;
-        }
-        if (dirty) {
-          meta->dirty = true;
-        }
-        return;
+    CacheLineMeta* meta = ShardFor(line_addr).cache->Probe(line_addr);
+    if (meta != nullptr) {
+      meta->sharers &= ~(1ULL << self);
+      if (meta->owner == self) {
+        meta->owner = kNoOwner;
       }
+      if (dirty) {
+        meta->dirty = true;
+      }
+      return;
     }
-    // Dirty victim with no LLC copy: the memory write needs no shard state,
-    // so it runs with the shard unlocked.
+    // Dirty victim with no LLC copy: write it through to memory.
     if (dirty) {
       DeviceFor(line_addr).Write(line_addr, config_.line_size, now);
     }
   }
 
-  // ---- Exclusive-mode analytical fast path (Core::FastForwardOps) ----
+  // ---- Analytical fast path (Core::FastForwardOps) ----
 
   // Outcome of the inline LLC probe below: the access either committed as
   // a reduced hit (kHit), is a genuine LLC miss the caller may commit
@@ -276,9 +225,8 @@ class Machine {
   // the completion time (start + LLC hit latency) to `completion`. On
   // kMiss/kBail mutates nothing but the set's way hint, so the caller
   // (FastLlcMiss on kMiss, the full LlcAccess on kBail) replays the access
-  // from a bit-identical machine. Exclusive execution only (touches shard
-  // state without its lock); inline because it runs for nearly every L1
-  // miss of a fast-forwarded replay.
+  // from a bit-identical machine. Inline because it runs for nearly every
+  // L1 miss of a fast-forwarded replay.
   FastLlc TryFastLlcHit(uint8_t self, uint64_t line_addr, AccessMode mode,
                         uint64_t start, uint64_t* completion) {
     SetAssocCache& llc = *ShardFor(line_addr).cache;
@@ -303,8 +251,8 @@ class Machine {
     // compare), then the hit path's accounting and directory update, minus
     // the branches just proven dead.
     llc.Touch(line_addr);
-    Bump(self, &MachineStatStripe::llc_hits);
-    ApplyAccessModeLocked(meta, self, mode, /*incoming_dirty=*/false);
+    ++hstats_[self].llc_hits;
+    ApplyAccessMode(meta, self, mode, /*incoming_dirty=*/false);
     *completion = start + config_.llc.hit_latency;
     return FastLlc::kHit;
   }
@@ -329,17 +277,17 @@ class Machine {
   // Commits a genuine LLC miss analytically: the exact LlcAccess miss
   // sequence — device read, stream discount, miss accounting, insert,
   // victim handling, directory update, eviction writeback — minus the
-  // branches exclusive execution and FastMissEligible prove dead:
-  //   * the re-probe after the (lock-elided) device read is a guaranteed
-  //     re-miss: the failed Touch in TryFastLlcHit mutated nothing and no
-  //     other thread ran, so the line cannot have appeared;
+  // branches FastMissEligible and the single driving thread prove dead:
+  //   * the re-probe after the device read is a guaranteed re-miss: the
+  //     failed Touch in TryFastLlcHit mutated nothing and no other core
+  //     ran, so the line cannot have appeared;
   //   * far-write directory work is excluded by FastMissEligible.
   // A dirty victim's device Write still happens HERE, in program order at
   // the access start (XPBuffer state is order-sensitive); only the
   // bounded-queue admission bookkeeping joins the core's deferred train,
   // and only when CanDeferEvictionWriteback proves the per-line path would
-  // have returned `start` with no stall bump (see core.h). Exclusive
-  // execution only; caller checked FastMissEligible.
+  // have returned `start` with no stall bump (see core.h). The caller
+  // checked FastMissEligible.
   uint64_t FastLlcMiss(uint8_t self, uint64_t line_addr, AccessMode mode,
                        uint64_t start, bool streamed) {
     Device& dev = DeviceFor(line_addr);
@@ -347,11 +295,11 @@ class Machine {
     const uint64_t read_done = dev.Read(line_addr, config_.line_size, start);
     uint64_t t =
         StreamDiscount(start, read_done, dev.config().read_latency, streamed);
-    Bump(self, &MachineStatStripe::llc_misses);
+    ++hstats_[self].llc_misses;
     CacheLineMeta* meta = nullptr;
     const SetAssocCache::Victim victim = llc.Insert(line_addr, false, &meta);
-    const bool wb_owed = HandleLlcVictimLocked(self, victim);
-    ApplyAccessModeLocked(meta, self, mode, /*incoming_dirty=*/false);
+    const bool wb_owed = HandleLlcVictim(self, victim);
+    ApplyAccessMode(meta, self, mode, /*incoming_dirty=*/false);
     if (wb_owed) {
       Core& core = *cores_[self];
       if (core.CanDeferEvictionWriteback()) {
@@ -412,9 +360,7 @@ class Machine {
   // only while the line is still cached (absent the clean the dirty data
   // would have coalesced); a long-evicted line owed its writeback anyway.
   bool LlcResident(uint64_t line_addr) {
-    LlcShard& shard = ShardFor(line_addr);
-    OptionalLockGuard lock(shard.mu, exclusive_execution());
-    return shard.cache->Peek(line_addr) != nullptr;
+    return ShardFor(line_addr).cache->Peek(line_addr) != nullptr;
   }
 
   // LlcResident plus the line's dirtiness — the region monitor's
@@ -422,9 +368,7 @@ class Machine {
   // touch, no way-hint update, no stats — hence Peek); `*dirty` is written
   // only on residency.
   bool LlcProbe(uint64_t line_addr, bool* dirty) {
-    LlcShard& shard = ShardFor(line_addr);
-    OptionalLockGuard lock(shard.mu, exclusive_execution());
-    const CacheLineMeta* meta = shard.cache->Peek(line_addr);
+    const CacheLineMeta* meta = ShardFor(line_addr).cache->Peek(line_addr);
     if (meta == nullptr) {
       return false;
     }
@@ -435,52 +379,19 @@ class Machine {
   // Bytes bump-allocated in the target region so far. Lets callers (e.g. a
   // whole-workload region monitor) cover exactly the allocated target span
   // [kTargetBase, kTargetBase + target_allocated()).
-  uint64_t target_allocated() const {
-    return target_brk_.load(std::memory_order_relaxed);
-  }
+  uint64_t target_allocated() const { return target_brk_; }
 
-  // On-demand aggregate of the per-core counter stripes. Exact once the
-  // cores have quiesced; a mid-run snapshot may miss in-flight bumps (the
-  // old global-atomic accounting had the same property).
+  // Sum of the per-core counters.
   MachineStats hierarchy_stats() const {
     MachineStats out;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      const MachineStatStripe& s = hstripes_[i];
-      out.llc_hits += s.llc_hits.load(std::memory_order_relaxed);
-      out.llc_misses += s.llc_misses.load(std::memory_order_relaxed);
-      out.llc_evictions += s.llc_evictions.load(std::memory_order_relaxed);
-      out.back_invalidations +=
-          s.back_invalidations.load(std::memory_order_relaxed);
-      out.interventions += s.interventions.load(std::memory_order_relaxed);
-      out.wbq_stall_cycles +=
-          s.wbq_stall_cycles.load(std::memory_order_relaxed);
-      out.dir_upgrades += s.dir_upgrades.load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
-  // Test-only: additionally mirror every stripe bump into one shared struct
-  // with fetch_add — the pre-rework accounting — so a test can assert the
-  // striped aggregate reproduces it exactly on the same concurrent run.
-  // Call before the run; costs one predictable branch per bump thereafter.
-  void EnableShadowStats() {
-    if (shadow_hstats_ == nullptr) {
-      shadow_hstats_ = std::make_unique<MachineStatStripe>();
-    }
-  }
-  MachineStats ShadowStatsSnapshot() const {
-    MachineStats out;
-    if (shadow_hstats_ != nullptr) {
-      const MachineStatStripe& s = *shadow_hstats_;
-      out.llc_hits = s.llc_hits.load(std::memory_order_relaxed);
-      out.llc_misses = s.llc_misses.load(std::memory_order_relaxed);
-      out.llc_evictions = s.llc_evictions.load(std::memory_order_relaxed);
-      out.back_invalidations =
-          s.back_invalidations.load(std::memory_order_relaxed);
-      out.interventions = s.interventions.load(std::memory_order_relaxed);
-      out.wbq_stall_cycles =
-          s.wbq_stall_cycles.load(std::memory_order_relaxed);
-      out.dir_upgrades = s.dir_upgrades.load(std::memory_order_relaxed);
+    for (const MachineStats& s : hstats_) {
+      out.llc_hits += s.llc_hits;
+      out.llc_misses += s.llc_misses;
+      out.llc_evictions += s.llc_evictions;
+      out.back_invalidations += s.back_invalidations;
+      out.interventions += s.interventions;
+      out.wbq_stall_cycles += s.wbq_stall_cycles;
+      out.dir_upgrades += s.dir_upgrades;
     }
     return out;
   }
@@ -491,13 +402,11 @@ class Machine {
 
  private:
   // One LLC shard: every kNumShards-th set of the logical LLC, with its own
-  // replacement state and lock, padded so shards never share a cache line.
-  // The shard of global set g is g % kNumShards — the same mapping the
-  // pre-rework engine used for its mutex array, so the serialization
-  // constraints (and hence all simulated results) are unchanged.
-  struct alignas(64) LlcShard {
+  // replacement state. The shard of global set g is g % kNumShards; each
+  // shard's per-set RNG is drawn in global set order, so the sharded LLC
+  // makes the same decisions a monolithic one would.
+  struct LlcShard {
     std::unique_ptr<SetAssocCache> cache;
-    std::mutex mu;
   };
 
   size_t LlcShardIndexOf(uint64_t line_addr) const {
@@ -530,7 +439,7 @@ class Machine {
 
   // Directory update for the access mode; the final step of every LLC
   // access once the coherence protocol has run.
-  static void ApplyAccessModeLocked(CacheLineMeta* meta, uint8_t self,
+  static void ApplyAccessMode(CacheLineMeta* meta, uint8_t self,
                                     AccessMode mode, bool incoming_dirty) {
     switch (mode) {
       case AccessMode::kRead:
@@ -548,22 +457,20 @@ class Machine {
     }
   }
 
-  // Hit-path coherence protocol, run under the line's shard lock: hit
-  // accounting, intervention on a Modified owner, snoop of other sharers on
-  // non-read access, the far-memory directory upgrade, and the mode's
-  // directory update. Shared by the first probe and the post-miss re-probe
-  // so a line another core filled while the shard was unlocked gets the
-  // identical treatment. Returns the access completion time.
-  uint64_t LlcHitLocked(uint8_t self, uint64_t line_addr, AccessMode mode,
-                        bool incoming_dirty, Device& dev, bool far,
-                        CacheLineMeta* meta, uint64_t t);
+  // Hit-path coherence protocol: hit accounting, intervention on a
+  // Modified owner, snoop of other sharers on non-read access, the
+  // far-memory directory upgrade, and the mode's directory update. Shared by
+  // the first probe and the post-miss re-probe so a line a device fault hook
+  // filled during the miss's device read gets the identical treatment.
+  // Returns the access completion time.
+  uint64_t LlcHit(uint8_t self, uint64_t line_addr, AccessMode mode,
+                  bool incoming_dirty, Device& dev, bool far,
+                  CacheLineMeta* meta, uint64_t t);
 
-  // Handles an LLC victim under the shard lock: back-invalidates L1 copies
-  // and accounts the eviction. Returns true when a dirty writeback is owed;
-  // the caller performs it via FinishEvictionWriteback AFTER releasing the
-  // shard lock (device meters have their own synchronization).
-  bool HandleLlcVictimLocked(uint8_t self,
-                             const SetAssocCache::Victim& victim);
+  // Handles an LLC victim: back-invalidates L1 copies and accounts the
+  // eviction. Returns true when a dirty writeback is owed; the caller
+  // performs it via FinishEvictionWriteback once the insert is complete.
+  bool HandleLlcVictim(uint8_t self, const SetAssocCache::Victim& victim);
 
   // Issues an eviction writeback to the victim's device. Returns the time
   // the evicting access of core `self` may proceed: eviction writebacks go
@@ -573,18 +480,6 @@ class Machine {
   // runtime).
   uint64_t FinishEvictionWriteback(uint8_t self, uint64_t line_addr,
                                    uint64_t now);
-
-  // Single-writer stripe bump (core `self`'s host thread), mirrored into
-  // the shadow struct when a stats-equivalence test enabled it.
-  void Bump(uint8_t self, std::atomic<uint64_t> MachineStatStripe::*field,
-            uint64_t n = 1) {
-    std::atomic<uint64_t>& c = hstripes_[self].*field;
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-    if (shadow_hstats_ != nullptr) {
-      (shadow_hstats_.get()->*field).fetch_add(n, std::memory_order_relaxed);
-    }
-  }
 
   void RefreshCoreFastPaths();
 
@@ -608,35 +503,15 @@ class Machine {
   // and resident memory grows only with the bytes the simulation touches.
   DemandZeroArena dram_backing_;
   DemandZeroArena target_backing_;
-  std::atomic<uint64_t> dram_brk_{0};
-  std::atomic<uint64_t> target_brk_{0};
+  uint64_t dram_brk_ = 0;
+  uint64_t target_brk_ = 0;
 
-  std::unique_ptr<MachineStatStripe[]> hstripes_;  // one per core
-  std::unique_ptr<MachineStatStripe> shadow_hstats_;
+  std::vector<MachineStats> hstats_;  // shared-hierarchy counters per core
   FunctionRegistry registry_;
-  std::atomic<TraceSink*> sink_{nullptr};
+  TraceSink* sink_ = nullptr;
   std::vector<PrestoreHook*> prestore_hooks_;
   AccessSampleHook* access_sampler_ = nullptr;
-  std::atomic<bool> exclusive_{false};
-  std::atomic<bool> fast_forward_{true};
-};
-
-// RAII scope for Machine::SetExclusiveExecution: sets the mode on entry and
-// restores the previous mode on exit (exception-safe, nestable).
-class ExclusiveExecutionScope {
- public:
-  explicit ExclusiveExecutionScope(Machine& machine)
-      : machine_(machine), prev_(machine.exclusive_execution()) {
-    machine_.SetExclusiveExecution(true);
-  }
-  ~ExclusiveExecutionScope() { machine_.SetExclusiveExecution(prev_); }
-
-  ExclusiveExecutionScope(const ExclusiveExecutionScope&) = delete;
-  ExclusiveExecutionScope& operator=(const ExclusiveExecutionScope&) = delete;
-
- private:
-  Machine& machine_;
-  bool prev_;
+  bool fast_forward_ = true;
 };
 
 }  // namespace prestore

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/sim/device.h"
@@ -39,12 +38,9 @@ class ReferencePmemDevice : public Device {
     const uint64_t delay = TouchBlock(addr, /*dirty=*/false, now, &flushed);
     const uint64_t start =
         ReserveBandwidth(bytes, now + delay, config_.cycles_per_byte);
-    {
-      OptionalLockGuard lock(stats_mu_, LockFree());
-      ++stats_.reads;
-      stats_.bytes_read += bytes;
-      stats_.media_bytes_written += flushed;
-    }
+    ++stats_.reads;
+    stats_.bytes_read += bytes;
+    stats_.media_bytes_written += flushed;
     return start + config_.read_latency +
            static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
            FaultLatency(/*is_write=*/false, now);
@@ -55,21 +51,16 @@ class ReferencePmemDevice : public Device {
     const uint64_t delay = TouchBlock(addr, /*dirty=*/true, now, &flushed);
     const uint64_t start =
         ReserveBandwidth(bytes, now + delay, config_.cycles_per_byte);
-    {
-      OptionalLockGuard lock(stats_mu_, LockFree());
-      ++stats_.writes;
-      stats_.bytes_received += bytes;
-      stats_.media_bytes_written += flushed;
-    }
+    ++stats_.writes;
+    stats_.bytes_received += bytes;
+    stats_.media_bytes_written += flushed;
     return start + config_.write_latency +
            static_cast<uint64_t>(bytes * config_.cycles_per_byte) +
            FaultLatency(/*is_write=*/true, now);
   }
 
   void Drain() override {
-    std::lock_guard<std::mutex> slock(stats_mu_);
     for (Dimm& dimm : dimms_) {
-      std::lock_guard<std::mutex> lock(dimm.mu);
       for (const BufferedBlock& entry : dimm.slots) {
         if (entry.dirty) {
           stats_.media_bytes_written += config_.internal_block_size;
@@ -79,9 +70,9 @@ class ReferencePmemDevice : public Device {
     }
   }
 
-  uint64_t InternalBacklogAt(uint64_t now) override {
+  uint64_t InternalBacklogAt(uint64_t now) const override {
     uint64_t max_backlog = 0;
-    for (Dimm& d : dimms_) {
+    for (const Dimm& d : dimms_) {
       max_backlog = std::max(max_backlog, d.media.BacklogAt(now));
     }
     return max_backlog;
@@ -105,7 +96,6 @@ class ReferencePmemDevice : public Device {
   // back() the LRU victim.
   struct Dimm {
     BandwidthMeter media;
-    std::mutex mu;
     std::vector<BufferedBlock> slots;
   };
 
@@ -143,41 +133,38 @@ class ReferencePmemDevice : public Device {
       const uint32_t stolen = hook->StolenBufferBlocks(now);
       capacity = stolen >= capacity ? 1 : capacity - stolen;
     }
-    {
-      OptionalLockGuard lock(dimm.mu, LockFree());
-      std::vector<BufferedBlock>& slots = dimm.slots;
-      const size_t n = slots.size();
-      for (size_t i = 0; i < n; ++i) {
-        if (slots[i].block == block) {
-          BufferedBlock hit = slots[i];
-          hit.dirty = hit.dirty || dirty;
-          if (dirty) {
-            hit.written_mask |= line_bit;
-          }
-          for (size_t j = i; j > 0; --j) {
-            slots[j] = slots[j - 1];
-          }
-          slots[0] = hit;
-          return 0;  // coalesced: served from the buffer, no media work
+    std::vector<BufferedBlock>& slots = dimm.slots;
+    const size_t n = slots.size();
+    for (size_t i = 0; i < n; ++i) {
+      if (slots[i].block == block) {
+        BufferedBlock hit = slots[i];
+        hit.dirty = hit.dirty || dirty;
+        if (dirty) {
+          hit.written_mask |= line_bit;
         }
-      }
-      while (slots.size() >= capacity) {
-        const BufferedBlock victim = slots.back();
-        slots.pop_back();
-        if (victim.dirty) {
-          media_work += BlockWriteCost();
-          if ((victim.written_mask & full_mask) != full_mask) {
-            media_work += BlockReadCost();
-          }
-          *media_bytes_flushed += config_.internal_block_size;
+        for (size_t j = i; j > 0; --j) {
+          slots[j] = slots[j - 1];
         }
+        slots[0] = hit;
+        return 0;  // coalesced: served from the buffer, no media work
       }
-      slots.insert(slots.begin(),
-                   BufferedBlock{block, dirty,
-                                 dirty ? line_bit : static_cast<uint8_t>(0)});
-      if (!dirty) {
-        media_work += BlockReadCost();
+    }
+    while (slots.size() >= capacity) {
+      const BufferedBlock victim = slots.back();
+      slots.pop_back();
+      if (victim.dirty) {
+        media_work += BlockWriteCost();
+        if ((victim.written_mask & full_mask) != full_mask) {
+          media_work += BlockReadCost();
+        }
+        *media_bytes_flushed += config_.internal_block_size;
       }
+    }
+    slots.insert(slots.begin(),
+                 BufferedBlock{block, dirty,
+                               dirty ? line_bit : static_cast<uint8_t>(0)});
+    if (!dirty) {
+      media_work += BlockReadCost();
     }
     if (media_work == 0) {
       return 0;

@@ -3,11 +3,7 @@
 //
 // The trace is generated once, host-side, outside the measured window, so a
 // replay exercises pure engine work: store-buffer bookkeeping, L1 probes,
-// LLC accesses, device timing. Three replay modes:
-//  - concurrent (free-running): worker i's trace runs on core i from its
-//    own host thread (RunParallel) — fastest when host cores are plentiful,
-//    nondeterministic interleaving, oversubscription cliff past
-//    hw_concurrency;
+// LLC accesses, device timing. Two replay modes:
 //  - sliced: worker i's trace runs on core i under the deterministic
 //    time-sliced scheduler (scheduler.h) — bit-deterministic for any host
 //    thread count, immune to oversubscription;
@@ -24,10 +20,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "src/sim/harness.h"
 #include "src/sim/machine.h"
 #include "src/sim/replay_ops.h"
 #include "src/sim/scheduler.h"
@@ -72,24 +66,12 @@ struct ReplayTrace {
   uint64_t total_accesses = 0;  // loads + stores across all workers
 };
 
-// Aggregated shared-hierarchy counters as plain integers (readable from the
-// striped stats and, historically, from the atomic ones).
-struct HierarchyCounts {
-  uint64_t llc_hits = 0;
-  uint64_t llc_misses = 0;
-  uint64_t llc_evictions = 0;
-  uint64_t back_invalidations = 0;
-  uint64_t interventions = 0;
-  uint64_t wbq_stall_cycles = 0;
-  uint64_t dir_upgrades = 0;
-};
-
 struct ReplayResult {
   uint64_t accesses = 0;     // loads + stores executed
   uint64_t sim_cycles = 0;   // simulated elapsed cycles (slowest core)
   double host_seconds = 0.0;
   double accesses_per_sec = 0.0;  // host-side engine throughput
-  HierarchyCounts hierarchy;
+  MachineStats hierarchy;
   uint64_t target_media_bytes = 0;
 };
 
@@ -187,11 +169,8 @@ inline void RunOne(Core& core, const ReplayOp& op) {
   }
 }
 
-// Upper bound on ops handed to one FastForwardOps call in concurrent mode,
-// where the core's L1 mutex is held for the whole batch: keeps the hold
-// time short enough that other cores' back-invalidations and interventions
-// are not starved. Exclusive-mode callers (sequential/sliced) elide the
-// lock entirely, so the bound costs them only a loop re-entry per chunk.
+// Ops handed to one FastForwardOps call; bounds the prefetch pipeline's
+// restart cost, nothing else.
 constexpr size_t kFastForwardChunk = 1024;
 
 inline void RunOps(Core& core, const std::vector<ReplayOp>& ops) {
@@ -224,43 +203,12 @@ inline ReplayResult Finish(Machine& machine, const ReplayTrace& trace,
           : 0.0;
   machine.FlushAll();  // settle dirty state so media accounting is complete
   result.sim_cycles = machine.GlobalTime() - start_cycles;
-  const auto& h = machine.hierarchy_stats();
-  result.hierarchy.llc_hits = h.llc_hits;
-  result.hierarchy.llc_misses = h.llc_misses;
-  result.hierarchy.llc_evictions = h.llc_evictions;
-  result.hierarchy.back_invalidations = h.back_invalidations;
-  result.hierarchy.interventions = h.interventions;
-  result.hierarchy.wbq_stall_cycles = h.wbq_stall_cycles;
-  result.hierarchy.dir_upgrades = h.dir_upgrades;
+  result.hierarchy = machine.hierarchy_stats();
   result.target_media_bytes = machine.target().Stats().media_bytes_written;
   return result;
 }
 
 }  // namespace replay_internal
-
-// Concurrent replay: worker i's ops on core i, one host thread per worker.
-// The measured window covers the replay only (not trace generation or the
-// settling flush).
-inline ReplayResult ReplayConcurrent(Machine& machine,
-                                     const ReplayTrace& trace) {
-  const uint64_t start_cycles = machine.GlobalTime();
-  // A single worker means a single driving thread (RunParallel runs the
-  // body inline, or on one spawned thread under a watchdog — either way
-  // nobody else touches simulated state), so the engine's internal locks
-  // protect nothing and can be elided.
-  std::optional<ExclusiveExecutionScope> exclusive;
-  if (trace.per_worker.size() <= 1) {
-    exclusive.emplace(machine);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  RunParallel(machine, static_cast<uint32_t>(trace.per_worker.size()),
-              [&](Core& core, uint32_t w) {
-                replay_internal::RunOps(core, trace.per_worker[w]);
-              });
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return replay_internal::Finish(machine, trace, start_cycles, dt.count());
-}
 
 struct ReplaySlicedOptions {
   uint32_t host_threads = 1;
@@ -287,7 +235,7 @@ inline ReplayResult ReplaySliced(Machine& machine, const ReplayTrace& trace,
       // Both paths start an op only while now < deadline, and a
       // fast-forwarded op charges exactly the slow-path cycles, so the
       // slice covers the same op range whether fast-forward is on or off
-      // (the end state is bit-identical either way; sim_stats_equiv_test).
+      // (the end state is bit-identical either way; sim_determinism_test).
       while (i < n && core.now() < deadline) {
         i += core.FastForwardOps(p + i, n - i, deadline);
         if (i >= n || core.now() >= deadline) {
@@ -316,9 +264,6 @@ inline ReplayResult ReplaySliced(Machine& machine, const ReplayTrace& trace,
 // across engine versions.
 inline ReplayResult ReplaySequential(Machine& machine,
                                      const ReplayTrace& trace) {
-  // One calling thread drives everything, including the settling flush:
-  // run the whole replay in exclusive (lock-elided) mode.
-  ExclusiveExecutionScope exclusive(machine);
   const uint64_t start_cycles = machine.GlobalTime();
   const auto t0 = std::chrono::steady_clock::now();
   for (uint32_t w = 0; w < trace.per_worker.size(); ++w) {

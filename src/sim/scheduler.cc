@@ -1,9 +1,10 @@
 #include "src/sim/scheduler.h"
 
-#include <condition_variable>
-#include <mutex>
+#include <deque>
+#include <semaphore>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace prestore {
 
@@ -47,10 +48,6 @@ void SimScheduler::RunSlice(uint32_t core_idx, uint64_t deadline) {
 }
 
 uint64_t SimScheduler::Run() {
-  // Exactly one host thread executes simulated work at any instant (see
-  // the header's determinism contract), so the engine's internal mutexes
-  // protect nothing here — elide them all for the duration.
-  ExclusiveExecutionScope exclusive(machine_);
   const uint64_t start = machine_.GlobalTime();
   if (config_.host_threads <= 1) {
     uint64_t round = 0;
@@ -68,30 +65,30 @@ uint64_t SimScheduler::Run() {
 }
 
 void SimScheduler::RunHandoff(uint64_t start) {
-  // Slices execute under `mu` in the same (round, core) order the serial
-  // path uses; slice k belongs to thread k % M. The unlock/lock pair
-  // between consecutive slices is the handoff: it orders slice k's writes
-  // before slice k+1's reads (happens-before), so every simulated outcome
-  // is independent of M by construction — which is the point: the thread
-  // count must be unobservable in the digest.
-  std::mutex mu;
-  std::condition_variable cv;
-  uint64_t round = 0;
-  uint32_t cursor = 0;    // next core index to consider this round
-  uint64_t slices = 0;    // slices executed so far (global slice order)
-  bool done = !AnyPending();
+  // Slices execute in the same (round, core) order the serial path uses;
+  // slice k belongs to thread k % M, which lets thread (k + 1) % M go once
+  // the slice is done. The semaphore handoff orders slice k's writes before
+  // slice k+1's reads, so every simulated outcome is independent of M by
+  // construction — which is the point: the thread count must be
+  // unobservable in the digest.
   const uint32_t m = config_.host_threads;
+  std::deque<std::binary_semaphore> turns;
+  for (uint32_t id = 0; id < m; ++id) {
+    turns.emplace_back(0);
+  }
+  uint64_t round = 0;
+  uint32_t cursor = 0;  // next core index to consider this round
+  bool done = false;
 
   auto worker = [&](uint32_t id) {
-    std::unique_lock<std::mutex> lock(mu);
     while (true) {
-      cv.wait(lock, [&] { return done || slices % m == id; });
+      turns[id].acquire();
       if (done) {
         return;
       }
       // Advance the cursor to the next core with pending work, rolling
       // over to a new round when this one is exhausted.
-      while (true) {
+      while (!done) {
         while (cursor < queues_.size() && queues_[cursor].empty()) {
           ++cursor;
         }
@@ -100,19 +97,23 @@ void SimScheduler::RunHandoff(uint64_t start) {
         }
         cursor = 0;
         ++round;
-        if (!AnyPending()) {
-          done = true;
-          cv.notify_all();
-          return;
+        done = !AnyPending();
+      }
+      if (done) {
+        for (uint32_t t = 0; t < m; ++t) {
+          if (t != id) {
+            turns[t].release();
+          }
         }
+        return;
       }
       const uint32_t core = cursor++;
       RunSlice(core, start + (round + 1) * config_.quantum);
-      ++slices;
-      cv.notify_all();
+      turns[(id + 1) % m].release();
     }
   };
 
+  turns[0].release();
   std::vector<std::thread> threads;
   threads.reserve(m);
   for (uint32_t id = 0; id < m; ++id) {

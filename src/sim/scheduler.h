@@ -1,27 +1,23 @@
-// Deterministic time-sliced scheduler: runs N simulated cores on M host
-// threads in fixed-quantum rounds, decoupling simulated concurrency from
-// host hw_concurrency (DESIGN.md §12).
+// Deterministic time-sliced scheduler for run-to-completion slice tasks
+// (the sliced trace replay): runs N simulated cores on M host threads in
+// fixed-quantum rounds (DESIGN.md §12).
 //
-// The free-running mode (harness.h RunParallel) binds one host thread per
-// simulated core, so an N-core run needs N host threads and falls off a
-// cliff once N exceeds the host's cores. The sliced mode instead advances
-// cores in ROUNDS: round r gives every core with pending work one slice,
-// running it until its simulated clock reaches the round deadline
+// Cores advance in ROUNDS: round r gives every core with pending work one
+// slice, running it until its simulated clock reaches the round deadline
 // `start + (r+1) * quantum`. Cores therefore stay loosely synchronized in
 // simulated time (within one quantum) no matter how many host threads
-// drive them — an 8-core simulation runs fine on a 1-CPU host.
+// drive them — an 8-core simulation runs fine on a 1-CPU host. The baton
+// runner (baton.h) applies the same (round, core) order to bodies written
+// as straight-line code.
 //
 // Determinism contract: slices execute in a single global order —
 // (round, core index), cores ascending — and slice k is executed by host
-// thread k % M with a mutex handoff between consecutive slices. Host
-// threads take turns; they never run simulated work concurrently. M
-// therefore affects which OS thread's stack a slice runs on and nothing
-// else, so the end-state digest of a sliced run is bit-identical for every
-// M (tests/sim_determinism_test.cc proves it for M ∈ {1,2,4}). This is an
-// honest trade: sliced mode buys determinism and oversubscription-immunity
-// at the price of no host-side parallel speedup. Because exactly one host
-// thread touches the machine at a time, Run() enters exclusive execution
-// (machine.h), eliding every engine mutex for the duration.
+// thread k % M with a release/acquire turn handoff between consecutive
+// slices. Host threads take turns; they never run simulated work
+// concurrently. M therefore affects which OS thread's stack a slice runs
+// on and nothing else, so the end-state digest of a sliced run is
+// bit-identical for every M (tests/sim_determinism_test.cc proves it for
+// M in {1,2,4}).
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
@@ -65,8 +61,7 @@ class SimScheduler {
   void Enqueue(uint32_t core, SliceFn task);
 
   // Runs rounds until every queue is empty. Returns the simulated cycles
-  // elapsed (global time delta). Single-driver by construction, so the
-  // whole run executes in exclusive (lock-elided) mode.
+  // elapsed (global time delta).
   uint64_t Run();
 
  private:
@@ -74,7 +69,7 @@ class SimScheduler {
   // One slice: run core `core_idx`'s queue until its clock reaches
   // `deadline` or the queue empties.
   void RunSlice(uint32_t core_idx, uint64_t deadline);
-  // The M>1 path: host threads hand slices around under a mutex.
+  // The M>1 path: host threads hand slices around in turn.
   void RunHandoff(uint64_t start);
 
   Machine& machine_;

@@ -41,13 +41,13 @@ TEST(SpinPause, LaggardCatchesUpToLeader) {
   Core& leader = m.core(0);
   Core& laggard = m.core(1);
   leader.Execute(10000);
-  leader.Fence();  // publishes the leader's clock
+  leader.Fence();
   const uint64_t before = laggard.now();
   for (int i = 0; i < 1000; ++i) {
     laggard.SpinPause(30);
   }
   EXPECT_GT(laggard.now(), before);
-  // The spin never overtakes the leader's published clock.
+  // The spin never overtakes the leader's clock.
   EXPECT_LE(laggard.now(), leader.now());
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/sim/device.h"
@@ -70,26 +69,23 @@ TEST(Meter, BacklogObservation) {
   EXPECT_EQ(meter.BacklogAt(100000), 0u);
 }
 
-TEST(Meter, ConcurrentReservationsConserveWork) {
-  // Work conservation under threads: total delay across requesters must be
-  // at least (total work - elapsed capacity), never wildly more.
+TEST(Meter, InterleavedRequestersConserveWork) {
+  // Work conservation across requesters with skewed clocks: total delay
+  // must be at least (total work - elapsed capacity), never wildly more.
   BandwidthMeter meter;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
+  constexpr int kRequesters = 4;
+  constexpr int kPerRequester = 1000;
   constexpr uint64_t kCost = 50;
-  std::vector<uint64_t> delays(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      uint64_t now = 50000 + t * 100;
-      for (int i = 0; i < kPerThread; ++i) {
-        delays[t] += meter.Reserve(kCost, now);
-        now += 10;  // each thread demands 5 cycles of work per cycle
-      }
-    });
+  std::vector<uint64_t> delays(kRequesters, 0);
+  std::vector<uint64_t> now(kRequesters);
+  for (int t = 0; t < kRequesters; ++t) {
+    now[t] = 50000 + t * 100;
   }
-  for (auto& th : threads) {
-    th.join();
+  for (int i = 0; i < kPerRequester; ++i) {
+    for (int t = 0; t < kRequesters; ++t) {
+      delays[t] += meter.Reserve(kCost, now[t]);
+      now[t] += 10;  // each requester demands 5 cycles of work per cycle
+    }
   }
   // Total work = 4 * 1000 * 50 = 200000 over ~10000 cycles of wall time:
   // ~190000 cycles of queueing must have been charged somewhere.
@@ -160,6 +156,23 @@ TEST(Meter, BacklogRetiresMonotonicallyUnderIdle) {
     prev = b;
   }
   EXPECT_EQ(prev, 0u);
+}
+
+TEST(Meter, BacklogObservationLeavesLaterDelaysUnchanged) {
+  // Observing the backlog — even from a clock far ahead of the requesters,
+  // as a leading core's governor sample does — must not retire work: the
+  // requesters' later delays are exactly those of an unobserved twin.
+  BandwidthMeter observed;
+  BandwidthMeter twin;
+  for (uint64_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(observed.Reserve(400, 10000 + i), twin.Reserve(400, 10000 + i));
+  }
+  EXPECT_GT(observed.BacklogAt(10040), 0u);
+  EXPECT_EQ(observed.BacklogAt(1000000), 0u);
+  for (uint64_t i = 0; i < 40; ++i) {
+    ASSERT_EQ(observed.Reserve(400, 10100 + i), twin.Reserve(400, 10100 + i))
+        << "reservation " << i;
+  }
 }
 
 // ---- Exact strength-reduced modulo (victim-pick fast path) ----
@@ -261,8 +274,8 @@ TEST(PmemDimms, ReadAmplificationCharged) {
 
 TEST(PmemDimms, FastPathMatchesReferenceUnderRandomTraffic) {
   // The bit-identical digest contract, exercised at the device boundary:
-  // the production PmemDevice (hinted block index, cached backlog
-  // watermark, closed-form train charging) and the naive reference
+  // the production PmemDevice (hinted block index, closed-form train
+  // charging) and the naive reference
   // implementation must return the same completion time for every op and
   // report the same backlog watermark at every probe, under randomized
   // traffic that mixes sequential runs, scatter, bursts, and idle gaps.

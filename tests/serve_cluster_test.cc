@@ -294,34 +294,60 @@ TEST(KvClusterTest, GovernedReplicasKeepPolicyDuringHandoffReplay) {
   }
 }
 
+void ExpectSameLatency(const LatencySummary& a, const LatencySummary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p95, b.p95);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_EQ(a.p999, b.p999);
+  EXPECT_EQ(a.max, b.max);
+}
+
 TEST(KvClusterTest, OutcomeAndEventLogsReplayByteIdentically) {
-  // One logical client per driver lane: the injector's per-lane rejection
-  // log is then single-client and replays byte-identically along with the
-  // outcome log (the cluster determinism argument, DESIGN.md §11).
-  ServeConfig cfg = SmallCluster(3, 3);
-  cfg.logical_clients = 2;  // == ycsb.threads driver lanes
+  // The whole cluster runs in one baton order (DESIGN.md §11), so the
+  // outcome log, the injector's event log and every latency percentile
+  // replay byte-identically — with one request in flight per client and
+  // with a pipeline of four.
+  for (const uint32_t inflight : {1u, 4u}) {
+    ServeConfig cfg = SmallCluster(3, 3);
+    cfg.logical_clients = 2;  // == ycsb.threads driver lanes
+    cfg.max_inflight = inflight;
+    if (inflight > 1) {
+      cfg.open_loop_interval = 10000;  // keep several requests in flight
+    }
 
-  auto run = [&cfg](std::string* events) {
-    FaultInjector injector(
-        OneNodeFault(FaultKind::kNodeKill, 0, SpanOf(cfg) / 2, 1));
-    KvCluster cluster(cfg, Nodes(3), &injector);
-    ClusterRunOptions options;
-    options.record_outcomes = true;
-    const ClusterResult r = RunClusterYcsb(cluster, options);
-    *events = injector.EventLog();
-    return r;
-  };
+    auto run = [&cfg](std::string* events) {
+      FaultInjector injector(
+          OneNodeFault(FaultKind::kNodeKill, 0, SpanOf(cfg) / 2, 1));
+      KvCluster cluster(cfg, Nodes(3), &injector);
+      ClusterRunOptions options;
+      options.record_outcomes = true;
+      const ClusterResult r = RunClusterYcsb(cluster, options);
+      *events = injector.EventLog();
+      return r;
+    };
 
-  std::string events_a;
-  std::string events_b;
-  const ClusterResult a = run(&events_a);
-  const ClusterResult b = run(&events_b);
-  ASSERT_FALSE(a.outcome_log.empty());
-  EXPECT_EQ(a.outcome_log, b.outcome_log);
-  EXPECT_EQ(events_a, events_b);
-  EXPECT_GT(a.refusals + a.nacks, 0u);  // the log contains fault traffic
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.acked_puts, b.acked_puts);
+    std::string events_a;
+    std::string events_b;
+    const ClusterResult a = run(&events_a);
+    const ClusterResult b = run(&events_b);
+    SCOPED_TRACE("max_inflight=" + std::to_string(inflight));
+    ASSERT_FALSE(a.outcome_log.empty());
+    EXPECT_EQ(a.outcome_log, b.outcome_log);
+    EXPECT_EQ(events_a, events_b);
+    EXPECT_GT(a.refusals + a.nacks, 0u);  // the log contains fault traffic
+    EXPECT_EQ(a.ops, b.ops);
+    EXPECT_EQ(a.acked_puts, b.acked_puts);
+    EXPECT_EQ(a.lost_acked_puts, 0u);
+    EXPECT_EQ(a.cycles, b.cycles);
+    ExpectSameLatency(a.get_latency, b.get_latency);
+    ExpectSameLatency(a.put_latency, b.put_latency);
+    ASSERT_EQ(a.phases.size(), b.phases.size());
+    for (size_t k = 0; k < a.phases.size(); ++k) {
+      ExpectSameLatency(a.phases[k].get_latency, b.phases[k].get_latency);
+      ExpectSameLatency(a.phases[k].put_latency, b.phases[k].put_latency);
+    }
+  }
 }
 
 TEST(KvClusterTest, PreloadPlacesKeysOnReplicaSetOnly) {

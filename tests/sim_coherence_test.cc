@@ -144,7 +144,7 @@ TEST(Coherence, DirectoryAccessCountedOnFarMemoryWrites) {
 }
 
 TEST(Coherence, ConcurrentCountersAreExact) {
-  // Functional correctness under real-thread concurrency: FetchAdd on a
+  // Functional correctness with four interleaved bodies: FetchAdd on a
   // shared counter must never lose updates.
   Machine m(MachineA(4));
   const SimAddr counter = m.Alloc(64);

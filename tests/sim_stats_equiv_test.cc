@@ -1,9 +1,12 @@
-// Striped-stats equivalence: the per-core stripe aggregation must reproduce
-// the pre-rework shared-atomic accounting exactly, on the SAME concurrent
-// run. EnableShadowStats mirrors every stripe bump into one shared struct
-// with fetch_add (the old scheme); after the run the two must agree
-// field-for-field — any missed or double-counted bump shows up here.
+// Stats-accounting equivalence: the machine keeps one plain MachineStats
+// per core and Machine::hierarchy_stats() sums them. Every counter must
+// come out the same whichever host threads carried the slices and whether
+// the cores ran one after another or in scheduler rounds — a missed or
+// double-counted bump on a slice handoff shows up here field-for-field.
+// (The fast-forward on/off equivalence cases live in sim_determinism_test.)
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/sim/machine.h"
 #include "src/sim/replay.h"
@@ -38,92 +41,90 @@ void ExpectStatsEqual(const MachineStats& got, const MachineStats& want) {
   EXPECT_EQ(got.dir_upgrades, want.dir_upgrades);
 }
 
-TEST(SimStatsEquiv, StripedAggregateMatchesSharedAtomicConcurrent) {
-  Machine machine(MachineA(4));
-  machine.EnableShadowStats();
-  const ReplayTrace trace = GenerateReplayTrace(machine, EquivTraceConfig(4));
-  const ReplayResult result = ReplayConcurrent(machine, trace);
-  ASSERT_GT(result.accesses, 0u);
-
-  const MachineStats striped = machine.hierarchy_stats();
-  const MachineStats shadow = machine.ShadowStatsSnapshot();
-  // The workload must actually exercise the counters being compared.
-  EXPECT_GT(striped.llc_hits, 0u);
-  EXPECT_GT(striped.llc_misses, 0u);
-  EXPECT_GT(striped.llc_evictions, 0u);
-  ExpectStatsEqual(striped, shadow);
+void ExpectCoreStatsEqual(const CoreStats& got, const CoreStats& want) {
+  EXPECT_EQ(got.loads, want.loads);
+  EXPECT_EQ(got.stores, want.stores);
+  EXPECT_EQ(got.l1_hits, want.l1_hits);
+  EXPECT_EQ(got.l1_misses, want.l1_misses);
+  EXPECT_EQ(got.sb_forwards, want.sb_forwards);
+  EXPECT_EQ(got.fences, want.fences);
+  EXPECT_EQ(got.fence_stall_cycles, want.fence_stall_cycles);
+  EXPECT_EQ(got.atomics, want.atomics);
+  EXPECT_EQ(got.prestores_demote, want.prestores_demote);
+  EXPECT_EQ(got.prestores_clean, want.prestores_clean);
+  EXPECT_EQ(got.prestores_suppressed, want.prestores_suppressed);
+  EXPECT_EQ(got.nt_lines, want.nt_lines);
+  EXPECT_EQ(got.sb_capacity_drains, want.sb_capacity_drains);
+  EXPECT_EQ(got.cycles_bg_wait, want.cycles_bg_wait);
+  EXPECT_EQ(got.cycles_wc_wait, want.cycles_wc_wait);
+  EXPECT_EQ(got.cycles_wb_pending, want.cycles_wb_pending);
+  EXPECT_EQ(got.cycles_load_miss, want.cycles_load_miss);
+  EXPECT_EQ(got.publish_latency_sum, want.publish_latency_sum);
+  EXPECT_EQ(got.publishes, want.publishes);
 }
 
-TEST(SimStatsEquiv, StripedAggregateMatchesSharedAtomicSequential) {
+struct RunStats {
+  MachineStats hierarchy;
+  std::vector<CoreStats> cores;
+};
+
+RunStats SlicedRunStats(uint32_t workers, uint32_t host_threads,
+                        uint64_t quantum) {
+  Machine machine(MachineA(workers));
+  const ReplayTrace trace =
+      GenerateReplayTrace(machine, EquivTraceConfig(workers));
+  ReplaySlicedOptions options;
+  options.host_threads = host_threads;
+  options.quantum = quantum;
+  const ReplayResult result = ReplaySliced(machine, trace, options);
+  EXPECT_GT(result.accesses, 0u);
+  RunStats out;
+  out.hierarchy = machine.hierarchy_stats();
+  for (uint32_t c = 0; c < workers; ++c) {
+    out.cores.push_back(machine.core(c).stats());
+  }
+  return out;
+}
+
+// Slices handed between several OS threads must account exactly what one
+// thread carrying every slice accounts.
+TEST(SimStatsEquiv, AggregateIndependentOfHostThreads) {
+  const RunStats one = SlicedRunStats(4, 1, 20000);
+  const RunStats four = SlicedRunStats(4, 4, 20000);
+  // The workload must actually exercise the counters being compared.
+  EXPECT_GT(one.hierarchy.llc_hits, 0u);
+  EXPECT_GT(one.hierarchy.llc_misses, 0u);
+  EXPECT_GT(one.hierarchy.llc_evictions, 0u);
+  ExpectStatsEqual(four.hierarchy, one.hierarchy);
+  ASSERT_EQ(four.cores.size(), one.cores.size());
+  for (size_t c = 0; c < one.cores.size(); ++c) {
+    SCOPED_TRACE(c);
+    ExpectCoreStatsEqual(four.cores[c], one.cores[c]);
+  }
+}
+
+// A quantum longer than the whole run runs each core to completion in core
+// order, which is exactly ReplaySequential: the counters must agree too.
+TEST(SimStatsEquiv, SlicedHugeQuantumMatchesSequential) {
   Machine machine(MachineA(2));
-  machine.EnableShadowStats();
   const ReplayTrace trace = GenerateReplayTrace(machine, EquivTraceConfig(2));
   const ReplayResult result = ReplaySequential(machine, trace);
   ASSERT_GT(result.accesses, 0u);
-  ExpectStatsEqual(machine.hierarchy_stats(), machine.ShadowStatsSnapshot());
-}
-
-// The analytical fast-forward must be invisible in every observable number:
-// replaying the same trace with fast-forward enabled (the default) and
-// disabled (every op walks the full timing path) must aggregate identical
-// hierarchy stripes, identical per-core stats, and an identical machine
-// digest. This is the strongest form of the "charge cycles and stat deltas
-// in one step" claim — not statistically close, bit-equal.
-TEST(SimStatsEquiv, FastForwardAggregatesIdenticalStatStripes) {
-  ReplayTraceConfig cfg = EquivTraceConfig(2);
-  uint64_t digests[2];
-  MachineStats stats[2];
-  CoreStats core0[2];
-  uint64_t icount0[2];
-  for (int ff = 0; ff < 2; ++ff) {
-    Machine machine(MachineA(2));
-    machine.SetAnalyticalFastForward(ff == 1);
-    const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
-    const ReplayResult result = ReplaySequential(machine, trace);
-    ASSERT_GT(result.accesses, 0u);
-    digests[ff] = DigestMachine(machine, 2);
-    stats[ff] = machine.hierarchy_stats();
-    core0[ff] = machine.core(0).stats();
-    icount0[ff] = machine.core(0).icount();
+  const RunStats sliced = SlicedRunStats(2, 2, uint64_t{1} << 40);
+  ExpectStatsEqual(sliced.hierarchy, machine.hierarchy_stats());
+  for (uint32_t c = 0; c < 2; ++c) {
+    SCOPED_TRACE(c);
+    ExpectCoreStatsEqual(sliced.cores[c], machine.core(c).stats());
   }
-  ExpectStatsEqual(stats[1], stats[0]);
-  EXPECT_EQ(core0[1].loads, core0[0].loads);
-  EXPECT_EQ(core0[1].stores, core0[0].stores);
-  EXPECT_EQ(core0[1].l1_hits, core0[0].l1_hits);
-  EXPECT_EQ(core0[1].l1_misses, core0[0].l1_misses);
-  EXPECT_EQ(core0[1].cycles_load_miss, core0[0].cycles_load_miss);
-  EXPECT_EQ(core0[1].publishes, core0[0].publishes);
-  EXPECT_EQ(core0[1].publish_latency_sum, core0[0].publish_latency_sum);
-  EXPECT_EQ(icount0[1], icount0[0]);
-  EXPECT_EQ(digests[1], digests[0]);
 }
 
-// Same equivalence on the zipf-skewed mix (hot lines, more L1 hits, more
-// write-combining traffic) and on the sliced scheduler path.
-TEST(SimStatsEquiv, FastForwardEquivalenceZipfSliced) {
-  ReplayTraceConfig cfg = EquivTraceConfig(2);
-  cfg.zipf_theta = 0.99;
-  uint64_t digests[2];
-  for (int ff = 0; ff < 2; ++ff) {
-    Machine machine(MachineA(2));
-    machine.SetAnalyticalFastForward(ff == 1);
-    const ReplayTrace trace = GenerateReplayTrace(machine, cfg);
-    ReplaySlicedOptions options;
-    options.host_threads = 2;
-    (void)ReplaySliced(machine, trace, options);
-    digests[ff] = DigestMachine(machine, 2);
-  }
-  EXPECT_EQ(digests[1], digests[0]);
-}
-
-TEST(SimStatsEquiv, ResetStatsClearsStripesAndShadow) {
+TEST(SimStatsEquiv, ResetStatsClearsHierarchyCounters) {
   Machine machine(MachineA(2));
-  machine.EnableShadowStats();
   const ReplayTrace trace = GenerateReplayTrace(machine, EquivTraceConfig(2));
   (void)ReplaySequential(machine, trace);
+  ASSERT_GT(machine.hierarchy_stats().llc_misses, 0u);
   machine.ResetStats();
   ExpectStatsEqual(machine.hierarchy_stats(), MachineStats{});
-  ExpectStatsEqual(machine.ShadowStatsSnapshot(), MachineStats{});
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 # Tier-1 gate: configure, build, and run the full test suite twice --
 #   1. a plain release-ish build (what CI and the benches use), and
 #   2. a hardened build: ASan+UBSan with the simulator's internal invariant
-#      checkers compiled in (PRESTORE_CHECK_INVARIANTS) and the RunParallel
-#      watchdog armed so a wedged worker aborts with diagnostics instead of
+#      checkers compiled in (PRESTORE_CHECK_INVARIANTS) and the baton-runner
+#      watchdog armed so a wedged body aborts with diagnostics instead of
 #      hanging the suite.
 #
 # Usage: tools/run_tier1.sh [--fast]
@@ -17,8 +17,8 @@ if [[ "${1:-}" == "--fast" ]]; then
   FAST=1
 fi
 
-# A wedged worker thread should fail loudly, not hang CI. 120s is far above
-# the slowest tier-1 test's per-RunParallel time.
+# A wedged body should fail loudly, not hang CI. 120s is far above the
+# slowest tier-1 test's per-RunParallel time.
 export PRESTORE_WATCHDOG_MS="${PRESTORE_WATCHDOG_MS:-120000}"
 
 # CI caches compilations across runs; locally this is a no-op unless ccache
@@ -42,6 +42,27 @@ run_pass() {
 
 run_pass build
 
+# The two paper-shape tests whose pass rate used to follow host load: under
+# the deterministic runner they must pass every time.
+echo "==> repeat paper_shapes_test and serve_test (until-fail:5)"
+ctest --test-dir build --output-on-failure --repeat until-fail:5 \
+  -R '^(paper_shapes_test|serve_test)$'
+
+# Whole-bench determinism: two runs of the same binary must print
+# byte-identical results (neither bench prints a host-time field).
+echo "==> bench determinism (bench_fig13_clht_machineB, bench_serve_cluster)"
+./build/bench/bench_fig13_clht_machineB >build/fig13_run1.txt
+./build/bench/bench_fig13_clht_machineB >build/fig13_run2.txt
+cmp build/fig13_run1.txt build/fig13_run2.txt
+# Both runs write the same --out path: the bench prints it.
+./build/bench/bench_serve_cluster --smoke \
+  --out=build/BENCH_serve_cluster_det.json >build/cluster_run1.txt
+cp build/BENCH_serve_cluster_det.json build/BENCH_serve_cluster_run1.json
+./build/bench/bench_serve_cluster --smoke \
+  --out=build/BENCH_serve_cluster_det.json >build/cluster_run2.txt
+cmp build/cluster_run1.txt build/cluster_run2.txt
+cmp build/BENCH_serve_cluster_run1.json build/BENCH_serve_cluster_det.json
+
 # Serve end-to-end gate: the ctest pass above already runs serve_test,
 # serve_fault_test, and ycsb_config_test (registered in tests/CMakeLists.txt);
 # this additionally exercises the full CLI request path -- preload, sharded
@@ -56,12 +77,12 @@ echo "==> serve smoke (kv_server_cli --smoke)"
 echo "==> cluster failover smoke (bench_serve_cluster --smoke)"
 ./build/bench/bench_serve_cluster --smoke --out=build/BENCH_serve_cluster_smoke.json >/dev/null
 
-# Engine-throughput smoke in BOTH scheduler modes. The bench exits non-zero
-# if either self-check fails: the sequential determinism digest, or the
-# sliced digest diverging between 1 and 3 host threads (scheduler
-# determinism contract, DESIGN.md §12).
-echo "==> sim-throughput smoke (bench_sim_throughput --quick --mode=both)"
-./build/bench/bench_sim_throughput --quick --mode=both \
+# Engine-throughput smoke. The bench exits non-zero if either self-check
+# fails: the sequential determinism digest, or the sliced digest diverging
+# between 1 and 3 host threads (scheduler determinism contract, DESIGN.md
+# §12).
+echo "==> sim-throughput smoke (bench_sim_throughput --quick)"
+./build/bench/bench_sim_throughput --quick \
   --out=build/BENCH_sim_throughput_smoke.json >/dev/null
 
 # Cache-layout smoke: the SetBlock cache against the preserved reference
@@ -72,8 +93,8 @@ echo "==> cache-layout smoke (bench_cache_lookup --quick)"
 ./build/bench/bench_cache_lookup --quick \
   --out=build/BENCH_cache_lookup_smoke.json >/dev/null
 gd=$(./build/tools/sim_throughput_cli --workers=4 --ops=20000 --keys=2048 \
-  --shared-keys=512 --shared-fraction=0.25 --theta=0 --seed=42 --digest \
-  | grep '^digest=')
+  --shared-keys=512 --shared-fraction=0.25 --theta=0 --seed=42 --sequential \
+  --digest | grep '^digest=')
 if [[ "${gd}" != "digest=ca074689a0e38784" ]]; then
   echo "golden determinism digest changed: ${gd}" >&2
   exit 1
@@ -81,17 +102,16 @@ fi
 
 # Sliced-scheduler CLI smoke: same trace on 2 vs 3 host threads must print
 # the same machine digest, and quantum=0 must be rejected.
-echo "==> sliced scheduler smoke (sim_throughput_cli --scheduler=sliced)"
+echo "==> sliced scheduler smoke (sim_throughput_cli --host-threads=2 vs 3)"
 d2=$(./build/tools/sim_throughput_cli --workers=8 --ops=20000 \
-  --scheduler=sliced --host-threads=2 --digest | grep '^digest=')
+  --host-threads=2 --digest | grep '^digest=')
 d3=$(./build/tools/sim_throughput_cli --workers=8 --ops=20000 \
-  --scheduler=sliced --host-threads=3 --digest | grep '^digest=')
+  --host-threads=3 --digest | grep '^digest=')
 if [[ "${d2}" != "${d3}" ]]; then
   echo "sliced digest host-thread variance: ${d2} vs ${d3}" >&2
   exit 1
 fi
-if ./build/tools/sim_throughput_cli --scheduler=sliced --quantum=0 \
-    >/dev/null 2>&1; then
+if ./build/tools/sim_throughput_cli --quantum=0 >/dev/null 2>&1; then
   echo "sim_throughput_cli accepted --quantum=0" >&2
   exit 1
 fi
@@ -150,11 +170,11 @@ if [[ "${FAST}" == "0" ]]; then
   echo "==> cluster failover smoke (sanitized build)"
   ./build-sanitize/bench/bench_serve_cluster --smoke \
     --out=build-sanitize/BENCH_serve_cluster_smoke.json >/dev/null
-  # Both scheduler modes under ASan+UBSan with invariant checkers on: the
-  # sliced scheduler's mutex-handoff and the fast-forward path run the same
-  # quick sweep the plain pass ran.
-  echo "==> sim-throughput smoke (sanitized build, --mode=both)"
-  ./build-sanitize/bench/bench_sim_throughput --quick --mode=both \
+  # The sliced scheduler's turn handoff and the fast-forward path under
+  # ASan+UBSan with invariant checkers on: the same quick sweep the plain
+  # pass ran.
+  echo "==> sim-throughput smoke (sanitized build)"
+  ./build-sanitize/bench/bench_sim_throughput --quick \
     --out=build-sanitize/BENCH_sim_throughput_smoke.json >/dev/null
   # The SetBlock placement-new lifetimes and packed-age pointer arithmetic
   # under ASan+UBSan, via the same randomized reference self-check.
